@@ -44,12 +44,6 @@ const char* ExhaustionPolicyName(ExhaustionPolicy p);
 struct EngineOptions {
   /// Worker threads for `CheckBatch` (clamped to at least 1).
   int num_threads = 4;
-  /// Dispatch through the `QueryPlanner` over the registered decision
-  /// procedures (the default). When false, queries run the legacy inline
-  /// ladder (trivial → FD-subclass → interval-cover → SAT → exhaustive) on
-  /// the raw premise set — kept as the reference implementation for the
-  /// planner/ladder differential suite.
-  bool use_planner = true;
   /// Serve `Prepare()` (and the unprepared `CheckBatch` / `CheckOne`
   /// entry points, which prepare on the caller's behalf) from the
   /// process-wide `PreparedPremisesCache`. When false every call compiles
@@ -128,8 +122,9 @@ struct QueryStats {
   /// a kUnknown verdict.
   DecisionProcedure stopped_in = DecisionProcedure::kNone;
   /// The plan the `QueryPlanner` chose for the final attempt: the
-  /// applicable procedures in execution order. Empty on the legacy ladder
-  /// path (`EngineOptions::use_planner` false).
+  /// applicable procedures in execution order. Empty when the query never
+  /// reached the planner (a failed prepare, or a batch cancelled before the
+  /// query started).
   std::vector<DecisionProcedure> plan;
   /// Attempts run (1 + escalation retries).
   int attempts = 1;

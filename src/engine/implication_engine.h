@@ -122,8 +122,10 @@ class ImplicationEngine {
   /// `EngineOptions::use_prepared_cache` is off). Returns InvalidArgument
   /// for an out-of-range universe size. The artifact is immutable and may
   /// be used concurrently, across batches, and by other engine instances.
-  Result<std::shared_ptr<const PreparedPremises>> Prepare(int n,
-                                                          const ConstraintSet& premises) const;
+  /// `from_cache`, when non-null, is set to whether the artifact came out
+  /// of the cache (false when it was built by this call).
+  Result<std::shared_ptr<const PreparedPremises>> Prepare(int n, const ConstraintSet& premises,
+                                                          bool* from_cache = nullptr) const;
 
   /// Decides `premises |= goals[i]` for every goal, in parallel. Returns
   /// InvalidArgument for an out-of-range universe size; per-query failures
@@ -163,22 +165,14 @@ class ImplicationEngine {
                              const DifferentialConstraint& goal);
 
  private:
-  /// One dispatch pass under `stop` (may end early with its status):
-  /// plan-and-execute over `prepared`, or the legacy inline ladder over
-  /// the raw premises when `EngineOptions::use_planner` is off. `tracer`
-  /// (never null; disabled when tracing is off) receives the per-phase
-  /// spans; `prepared_from_cache` feeds the premise-cache stat flags.
+  /// One plan-and-execute pass over `prepared` under `stop` (may end
+  /// early with its status). `tracer` (never null; disabled when tracing
+  /// is off) receives the per-phase spans; `prepared_from_cache` feeds the
+  /// premise-cache stat flags.
   EngineQueryResult RunQueryOnce(const PreparedPremises& prepared,
                                  const DifferentialConstraint& goal, StopCheck* stop,
                                  const ProcedureBudgets& budgets, obs::Tracer* tracer,
                                  bool prepared_from_cache);
-  /// The legacy inline ladder (the reference control flow the differential
-  /// suite pins the planner against). Shares the compiled artifacts inside
-  /// `prepared` — only the dispatch logic differs from the planner path.
-  EngineQueryResult RunLadderOnce(const PreparedPremises& prepared,
-                                  const DifferentialConstraint& goal, StopCheck* stop,
-                                  const ProcedureBudgets& budgets, obs::Tracer* tracer,
-                                  bool prepared_from_cache);
   /// The exhaustion-policy loop around `RunQueryOnce`.
   EngineQueryResult RunQuery(const PreparedPremises& prepared,
                              const DifferentialConstraint& goal, const Deadline& batch_deadline,

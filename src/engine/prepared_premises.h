@@ -18,8 +18,8 @@ struct PrepareOptions {
   /// Canonicalize through the rule-driven rewrite simplifier
   /// (`src/rewrite/`, DESIGN.md §14). When false the PR 5 inline path
   /// (drop trivial, minimize right-hand families, sort + dedupe) runs
-  /// instead — kept as a differential reference, mirroring the
-  /// planner/ladder split.
+  /// instead — kept as the differential reference the rewriter's
+  /// simplified-vs-raw verdict suite compares against.
   bool use_rewriter = true;
   /// `rewrite::SimplifyOptions::level` when the rewriter runs: 1 =
   /// structural rules only, 2 = full rule set. Clamped to >= 1.

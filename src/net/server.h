@@ -82,11 +82,6 @@ struct ServerOptions {
   double trace_sample_rate = 0.01;
   /// Retained traces in the process-wide store behind /tracez.
   std::size_t trace_store_capacity = 256;
-  /// Highest wire version this server accepts/speaks. Defaults to
-  /// `kWireVersion`; tests pin it to an older version to emulate an
-  /// old server against a new client (the client auto-downgrades on the
-  /// version-mismatch error frame).
-  std::uint8_t max_wire_version = kWireVersion;
 };
 
 /// `diffcd` — the networked implication service. One process-embedded
@@ -267,9 +262,6 @@ struct SessionContext {
   /// Per-request tracer (never null; disabled unless the request is
   /// sampled — see `RequestTrace`).
   obs::Tracer* tracer = nullptr;
-  /// Wire version of the request frame being handled; replies are encoded
-  /// at this version so a v2 peer never sees v3 fields.
-  std::uint8_t wire_version = kWireVersion;
   /// This request's trace state (never null during dispatch).
   RequestTrace* trace = nullptr;
 };

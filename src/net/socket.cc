@@ -486,7 +486,6 @@ Status ReadFrame(const Socket& sock, Frame* frame, bool* clean_eof,
   s = DecodeFrameHeader(header, sizeof(header), &head);
   if (!s.ok()) return s;
   frame->type = head.type;
-  frame->version = head.version;
   frame->payload.resize(head.payload_len);
   if (head.payload_len > 0) {
     s = sock.RecvAllStalled(frame->payload.data(), head.payload_len, &eof, stall_budget,

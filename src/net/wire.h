@@ -23,9 +23,9 @@ namespace diffc::net {
 /// declaring a larger frame is malformed and the connection is closed
 /// after a typed error frame — the length is rejected *before* any
 /// allocation, so a hostile 4 GiB declaration costs nothing. A version
-/// mismatch or unknown type byte is handled the same way. A stream that
-/// ends mid-frame decodes as InvalidArgument ("truncated"), never as a
-/// hang or a partial message.
+/// byte other than `kWireVersion` or an unknown type byte is handled the
+/// same way. A stream that ends mid-frame decodes as InvalidArgument
+/// ("truncated"), never as a hang or a partial message.
 ///
 /// Payload scalars are fixed-width little-endian; variable-size fields
 /// (strings, constraint lists) carry a length prefix with a hard cap each,
@@ -33,18 +33,14 @@ namespace diffc::net {
 /// size before any `ItemSet` is constructed — out-of-range attribute
 /// indices are rejected at the boundary (see DESIGN.md §11).
 
-/// Protocol version carried by every frame. v2 added the CHECK_BATCH
-/// idempotency nonce and the OVERLOADED reply. v3 added the trace context
-/// (16-byte trace id + 8-byte parent span id + sampling flag) to
-/// REGISTER_PREMISES / CHECK_BATCH requests and its echo (trace id + server
-/// span id + flag) to their replies.
+/// Protocol version carried by every frame, and the only one this build
+/// speaks: `SerializeFrame` writes it and `DecodeFrameHeader` rejects any
+/// other value, so nothing above the frame reader sees a version. v3
+/// carries the CHECK_BATCH idempotency nonce, the OVERLOADED reply, and
+/// the trace context (16-byte trace id + 8-byte parent span id + sampling
+/// flag) on REGISTER_PREMISES / CHECK_BATCH requests with its echo (trace
+/// id + server span id + flag) on their replies.
 inline constexpr std::uint8_t kWireVersion = 3;
-
-/// Oldest version this build still speaks. `ReadFrame` accepts any frame in
-/// [kMinWireVersion, kWireVersion] and records the version on the `Frame`;
-/// codecs for the trace-carrying messages encode/decode the trace fields
-/// only at v3+, so a v2 peer round-trips bit-for-bit against a v3 process.
-inline constexpr std::uint8_t kMinWireVersion = 2;
 
 /// Hard cap on a frame payload, checked before allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 4u << 20;  // 4 MiB
@@ -83,11 +79,9 @@ const char* WireResponseName(WireResponse t);
 /// True iff `t` is a declared `WireRequest` enumerator.
 bool IsKnownRequest(std::uint8_t t);
 
-/// One decoded frame: the type byte, the wire version it was (or will be)
-/// framed with, and the raw payload.
+/// One decoded frame: the type byte and the raw payload.
 struct Frame {
   std::uint8_t type = 0;
-  std::uint8_t version = kWireVersion;
   std::vector<std::uint8_t> payload;
 };
 
@@ -97,20 +91,19 @@ inline constexpr std::size_t kFrameHeaderBytes = 6;
 /// A decoded (and validated) frame header.
 struct FrameHeader {
   std::uint32_t payload_len = 0;
-  std::uint8_t version = 0;
   std::uint8_t type = 0;
 };
 
 /// Decodes the 6-byte frame header out of `data` and enforces the header
-/// contract before anything is allocated: the version byte must fall in
-/// [kMinWireVersion, kWireVersion] and the declared payload length under
-/// `kMaxFramePayload`. InvalidArgument on a short buffer, a version
-/// outside the window, or an oversized declaration — the same Status
-/// `ReadFrame` surfaces, shared so the fuzz harness exercises the exact
-/// production path.
+/// contract before anything is allocated: the version byte must equal
+/// `kWireVersion` and the declared payload length stay under
+/// `kMaxFramePayload`. InvalidArgument on a short buffer, any other
+/// version ("unsupported wire version"), or an oversized declaration —
+/// the same Status `ReadFrame` surfaces, shared so the fuzz harness
+/// exercises the exact production path.
 Status DecodeFrameHeader(const std::uint8_t* data, std::size_t size, FrameHeader* out);
 
-/// The trace context carried by v3 REGISTER_PREMISES / CHECK_BATCH frames
+/// The trace context carried by REGISTER_PREMISES / CHECK_BATCH frames
 /// and echoed (with the responder's span id as `parent_span_id`) in their
 /// replies. A zero trace id means "no context"; the server then mints one.
 struct TraceContext {
@@ -175,7 +168,7 @@ class WireReader {
 struct RegisterPremisesMsg {
   int n = 0;
   ConstraintSet premises;
-  /// v3+: the caller's trace context (ignored by v2 encodes).
+  /// The caller's trace context.
   TraceContext trace;
 };
 
@@ -183,7 +176,7 @@ struct RegisterPremisesMsg {
 struct RegisterOkMsg {
   std::uint64_t handle = 0;
   std::uint32_t canonical_constraints = 0;
-  /// v3+: trace id echo; `parent_span_id` is the server span id.
+  /// Trace id echo; `parent_span_id` is the server span id.
   TraceContext trace;
 };
 
@@ -200,7 +193,7 @@ struct CheckBatchMsg {
   std::uint64_t nonce = 0;
   int n = 0;
   std::vector<DifferentialConstraint> goals;
-  /// v3+: the caller's trace context (ignored by v2 encodes).
+  /// The caller's trace context.
   TraceContext trace;
 };
 
@@ -230,7 +223,7 @@ struct WireBatchStats {
 struct BatchResultMsg {
   std::vector<WireQueryResult> results;
   WireBatchStats stats;
-  /// v3+: trace id echo; `parent_span_id` is the server span id.
+  /// Trace id echo; `parent_span_id` is the server span id.
   TraceContext trace;
 };
 
@@ -274,15 +267,10 @@ struct ErrorMsg {
 
 // ----------------------------------------------------------- frame codecs
 
-/// The four trace-carrying codecs take the wire version to frame at:
-/// v2 omits the trace fields (bit-for-bit the PR 7 encoding), v3 appends
-/// them. The remaining codecs are version-independent and default to
-/// `kWireVersion` on the frame.
-Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg,
-                             std::uint8_t version = kWireVersion);
-Frame EncodeRegisterOk(const RegisterOkMsg& msg, std::uint8_t version = kWireVersion);
-Frame EncodeCheckBatch(const CheckBatchMsg& msg, std::uint8_t version = kWireVersion);
-Frame EncodeBatchResult(const BatchResultMsg& msg, std::uint8_t version = kWireVersion);
+Frame EncodeRegisterPremises(const RegisterPremisesMsg& msg);
+Frame EncodeRegisterOk(const RegisterOkMsg& msg);
+Frame EncodeCheckBatch(const CheckBatchMsg& msg);
+Frame EncodeBatchResult(const BatchResultMsg& msg);
 Frame EncodeRelease(const ReleaseMsg& msg);
 Frame EncodeReleaseOk();
 Frame EncodePing(const PingMsg& msg);
@@ -304,7 +292,7 @@ Result<OverloadedMsg> DecodeOverloaded(const Frame& f);
 Result<ErrorMsg> DecodeError(const Frame& f);
 
 /// Serializes `f` as header + payload bytes (the exact octets WriteFrame
-/// puts on the wire), for tests and buffering.
+/// puts on the wire, version byte `kWireVersion`), for tests and buffering.
 std::vector<std::uint8_t> SerializeFrame(const Frame& f);
 
 }  // namespace diffc::net

@@ -198,7 +198,7 @@ TEST(NonceCacheTest, MissInFlightDoneLifecycle) {
   EXPECT_EQ(cache.Begin(7).state, NonceCache::State::kMiss);
   EXPECT_EQ(cache.Begin(7).state, NonceCache::State::kInFlight);
 
-  Frame reply{0x13, kWireVersion, {1, 2, 3}};
+  Frame reply{0x13, {1, 2, 3}};
   cache.Complete(7, reply);
   NonceCache::Lookup done = cache.Begin(7);
   EXPECT_EQ(done.state, NonceCache::State::kDone);
@@ -216,7 +216,7 @@ TEST(NonceCacheTest, DoneEntriesEvictFifoAtCapacity) {
   NonceCache cache(NonceCache::Options{2});
   for (std::uint64_t nonce = 1; nonce <= 3; ++nonce) {
     ASSERT_EQ(cache.Begin(nonce).state, NonceCache::State::kMiss);
-    cache.Complete(nonce, Frame{0x13, kWireVersion, {static_cast<std::uint8_t>(nonce)}});
+    cache.Complete(nonce, Frame{0x13, {static_cast<std::uint8_t>(nonce)}});
   }
   // Nonce 1 was evicted by 3; 2 and 3 still replay.
   EXPECT_EQ(cache.Begin(2).state, NonceCache::State::kDone);

@@ -198,7 +198,7 @@ TEST(WireCodecTest, TraceContextRoundTripsAtV3) {
   msg.goals = {MakeConstraint({0}, {ItemSet{1}})};
   msg.trace = tc;
   Frame f = EncodeCheckBatch(msg);
-  EXPECT_EQ(f.version, kWireVersion);
+  EXPECT_EQ(SerializeFrame(f)[4], kWireVersion);
   Result<CheckBatchMsg> decoded = DecodeCheckBatch(f);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->trace.trace_id_hi, tc.trace_id_hi);
@@ -225,38 +225,6 @@ TEST(WireCodecTest, TraceContextRoundTripsAtV3) {
   Result<BatchResultMsg> res_decoded = DecodeBatchResult(EncodeBatchResult(res));
   ASSERT_TRUE(res_decoded.ok());
   EXPECT_EQ(res_decoded->trace.trace_id_hi, tc.trace_id_hi);
-}
-
-TEST(WireCodecTest, V2FramesAreBitForBitFreeOfTraceBytes) {
-  // Compat contract: a trace-carrying message encoded at v2 must be byte
-  // identical to the same message with no trace at all — the context may
-  // only ever ride on v3 frames.
-  CheckBatchMsg with_trace;
-  with_trace.handle = 9;
-  with_trace.n = 4;
-  with_trace.goals = {MakeConstraint({0}, {ItemSet{1}})};
-  with_trace.trace.trace_id_hi = 1;
-  with_trace.trace.trace_id_lo = 2;
-  with_trace.trace.parent_span_id = 3;
-  with_trace.trace.sampled = true;
-  CheckBatchMsg without = with_trace;
-  without.trace = TraceContext{};
-
-  Frame v2_traced = EncodeCheckBatch(with_trace, kMinWireVersion);
-  Frame v2_plain = EncodeCheckBatch(without, kMinWireVersion);
-  EXPECT_EQ(v2_traced.version, kMinWireVersion);
-  EXPECT_EQ(v2_traced.payload, v2_plain.payload);
-  // And shorter than v3 by exactly the 25 trace-context bytes.
-  EXPECT_EQ(EncodeCheckBatch(with_trace).payload.size(), v2_traced.payload.size() + 25);
-
-  // A v2 frame decodes with an empty (invalid) context...
-  Result<CheckBatchMsg> decoded = DecodeCheckBatch(v2_traced);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded->trace.valid());
-  // ...and a v2 frame with trailing trace bytes is malformed, not lenient.
-  Frame mislabeled = EncodeCheckBatch(with_trace, kWireVersion);
-  mislabeled.version = kMinWireVersion;
-  EXPECT_FALSE(DecodeCheckBatch(mislabeled).ok());
 }
 
 TEST(WireCodecTest, CorruptSampledByteRejected) {
@@ -346,8 +314,7 @@ TEST(WireCodecTest, AbsurdFamilyCountRejected) {
   w.U32(1);                       // one constraint
   w.U64(0b1);                     // lhs
   w.U32(kMaxFamilyMembers + 1);   // family count over the cap
-  Frame f{static_cast<std::uint8_t>(WireRequest::kRegisterPremises), kWireVersion,
-          std::move(w).Take()};
+  Frame f{static_cast<std::uint8_t>(WireRequest::kRegisterPremises), std::move(w).Take()};
   Result<RegisterPremisesMsg> decoded = DecodeRegisterPremises(f);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("cap"), std::string::npos);
@@ -385,8 +352,7 @@ TEST(CapSymmetryTest, ErrorDecoderRejectsDeclaredLengthOneOverCap) {
   WireWriter w;
   w.U8(static_cast<std::uint8_t>(StatusCode::kInternal));
   w.String(std::string(kMaxErrorMessageBytes + 1, 'x'));
-  Frame f{static_cast<std::uint8_t>(WireResponse::kError), kWireVersion,
-          std::move(w).Take()};
+  Frame f{static_cast<std::uint8_t>(WireResponse::kError), std::move(w).Take()};
   Result<ErrorMsg> decoded = DecodeError(f);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -415,8 +381,7 @@ TEST(CapSymmetryTest, BatchResultStatusMessageAtExactCapAcceptedOneOverRejected)
   w.U8(0);   // no counterexample
   w.U64(0);
   for (int i = 0; i < 8; ++i) w.U64(0);  // stats
-  Frame f{static_cast<std::uint8_t>(WireResponse::kBatchResult), kMinWireVersion,
-          std::move(w).Take()};
+  Frame f{static_cast<std::uint8_t>(WireResponse::kBatchResult), std::move(w).Take()};
   Result<BatchResultMsg> rejected = DecodeBatchResult(f);
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("cap"), std::string::npos);
@@ -430,7 +395,6 @@ TEST(FrameHeaderTest, ValidHeaderParses) {
   FrameHeader head;
   ASSERT_TRUE(DecodeFrameHeader(bytes, sizeof(bytes), &head).ok());
   EXPECT_EQ(head.payload_len, 0xF00Du);
-  EXPECT_EQ(head.version, kWireVersion);
   EXPECT_EQ(head.type, static_cast<std::uint8_t>(WireRequest::kCheckBatch));
 }
 
@@ -446,7 +410,7 @@ TEST(FrameHeaderTest, ShortBufferIsTruncated) {
 
 TEST(FrameHeaderTest, VersionWindowIsClosedOnBothSides) {
   FrameHeader head;
-  std::uint8_t low[kFrameHeaderBytes] = {0, 0, 0, 0, kMinWireVersion - 1, 0};
+  std::uint8_t low[kFrameHeaderBytes] = {0, 0, 0, 0, kWireVersion - 1, 0};
   Status s = DecodeFrameHeader(low, sizeof(low), &head);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos);
@@ -615,31 +579,32 @@ TEST(FramingTest, OversizedDeclaredLengthRejectedBeforeAllocation) {
   EXPECT_NE(s.message().find("cap"), std::string::npos);
 }
 
-TEST(FramingTest, BothSupportedVersionsAreAcceptedAndRecorded) {
-  // v3 servers keep talking to v2 clients: ReadFrame accepts the whole
-  // [kMinWireVersion, kWireVersion] window and reports which version the
-  // peer spoke so codecs can gate the trace-context bytes.
-  for (std::uint8_t v = kMinWireVersion; v <= kWireVersion; ++v) {
+TEST(FramingTest, CurrentVersionAcceptedOldPeerRefused) {
+  // v3 is the only version spoken: a frame labelled kWireVersion reads
+  // back intact...
+  {
     SocketPair pair;
     Frame sent = EncodePing(PingMsg{77});
-    sent.version = v;
     ASSERT_TRUE(WriteFrame(pair.a, sent).ok());
     Frame got;
     bool clean_eof = true;
     ASSERT_TRUE(ReadFrame(pair.b, &got, &clean_eof).ok());
-    EXPECT_EQ(got.version, v);
+    EXPECT_FALSE(clean_eof);
+    EXPECT_EQ(got.type, sent.type);
     EXPECT_EQ(got.payload, sent.payload);
   }
-  // Below the window is as dead as above it.
+  // ...while a well-formed v2 ping (same payload, version byte 2) is a
+  // typed InvalidArgument, not a frame.
   SocketPair pair;
-  std::uint8_t header[6] = {0, 0, 0, 0, static_cast<std::uint8_t>(kMinWireVersion - 1),
-                            static_cast<std::uint8_t>(WireRequest::kPing)};
-  ASSERT_TRUE(pair.a.SendAll(header, sizeof(header)).ok());
+  std::vector<std::uint8_t> v2 = SerializeFrame(EncodePing(PingMsg{77}));
+  v2[4] = 2;
+  ASSERT_TRUE(pair.a.SendAll(v2.data(), v2.size()).ok());
   Frame got;
   bool clean_eof = false;
   Status s = ReadFrame(pair.b, &got, &clean_eof);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("version"), std::string::npos);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unsupported wire version"), std::string::npos);
 }
 
 TEST(FramingTest, VersionMismatchRejected) {

@@ -1,18 +1,30 @@
-// Differential suite: the QueryPlanner dispatch must be verdict- and
-// status-identical to the legacy inline ladder it replaced, across a large
-// randomized instance pool (including budget-exhaustion paths), and the
-// prepared CheckBatch overload must agree with the unprepared one. This is
-// the compatibility pin for the prepare/plan/execute refactor; it runs
-// under ASan and TSan in CI.
+// Oracle suite: every answer the QueryPlanner dispatch gives is checked
+// against the paper's definitions, not against a second copy of the
+// dispatch. Over randomized instance pools (including budget-exhaustion
+// paths):
+//   - an OK verdict equals Theorem 3.5's lattice containment L(X, Y) ⊆
+//     L(C), decided by brute-force enumeration (`CheckImplicationExhaustive`);
+//   - a NotImplied counterexample U is a valid `f_U` witness against the
+//     raw premises: U ∈ L(goal) ∖ L(C) (`IsValidCounterexample`);
+//   - the answering procedure follows the dispatch rule (trivial goals by
+//     `trivial`, FD-eligible premises with a singleton goal family by
+//     `fd-subclass`, everything else by `interval-cover` or `sat`, and
+//     `exhaustive` only after SAT ran out of budget).
+// The prepared CheckBatch overload must also agree with the unprepared
+// one. Runs under ASan and TSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/counterexample.h"
 #include "core/implication.h"
 #include "engine/implication_engine.h"
+#include "lattice/universe.h"
 #include "test_helpers.h"
 #include "util/random.h"
 
@@ -81,112 +93,197 @@ std::vector<Instance> MakeInstances(std::uint64_t seed) {
   return out;
 }
 
-void ExpectIdenticalResults(const EngineQueryResult& planner, const EngineQueryResult& ladder,
+void ExpectIdenticalResults(const EngineQueryResult& a, const EngineQueryResult& b,
                             std::size_t i) {
-  EXPECT_EQ(planner.status.code(), ladder.status.code())
-      << "instance " << i << ": planner=" << planner.status.ToString()
-      << " ladder=" << ladder.status.ToString();
-  if (planner.status.ok() && ladder.status.ok()) {
-    EXPECT_EQ(planner.outcome.verdict, ladder.outcome.verdict) << "instance " << i;
-    EXPECT_EQ(planner.outcome.implied, ladder.outcome.implied) << "instance " << i;
-    EXPECT_EQ(planner.outcome.counterexample, ladder.outcome.counterexample)
-        << "instance " << i;
-    EXPECT_EQ(planner.stats.procedure, ladder.stats.procedure) << "instance " << i;
+  EXPECT_EQ(a.status.code(), b.status.code())
+      << "instance " << i << ": " << a.status.ToString() << " vs " << b.status.ToString();
+  if (a.status.ok() && b.status.ok()) {
+    EXPECT_EQ(a.outcome.verdict, b.outcome.verdict) << "instance " << i;
+    EXPECT_EQ(a.outcome.implied, b.outcome.implied) << "instance " << i;
+    EXPECT_EQ(a.outcome.counterexample, b.outcome.counterexample) << "instance " << i;
+    EXPECT_EQ(a.stats.procedure, b.stats.procedure) << "instance " << i;
   } else {
-    EXPECT_EQ(planner.stats.stopped_in, ladder.stats.stopped_in) << "instance " << i;
+    EXPECT_EQ(a.stats.stopped_in, b.stats.stopped_in) << "instance " << i;
   }
 }
 
-TEST(PlannerDifferentialTest, PlannerMatchesLadderOn500PlusInstances) {
+// Runs instances through one engine and checks each answer against the
+// definitions. Every check failure names the instance and prints it.
+class PlannerOracle {
+ public:
+  explicit PlannerOracle(const EngineOptions& options) : options_(options), engine_(options) {}
+
+  // Answers `inst` through the engine and checks the answer; returns it.
+  EngineQueryResult Check(const Instance& inst, std::size_t i) {
+    EngineQueryResult r = engine_.CheckOne(inst.n, inst.premises, inst.goal);
+    const std::string where = Describe(inst, i);
+    if (!r.status.ok()) {
+      CheckExhaustion(inst, r, where);
+      return r;
+    }
+    CheckVerdict(inst, r, where);
+    CheckProcedure(inst, r, where);
+    ++answered_by_[static_cast<int>(r.stats.procedure)];
+    return r;
+  }
+
+  // Queries answered OK by procedure `p`.
+  std::size_t answered_by(DecisionProcedure p) const {
+    return answered_by_[static_cast<int>(p)];
+  }
+  // Queries that ended ResourceExhausted.
+  std::size_t exhausted() const { return exhausted_; }
+  std::size_t mismatches() const { return mismatches_; }
+  std::size_t invalid_counterexamples() const { return invalid_counterexamples_; }
+
+ private:
+  static std::string Describe(const Instance& inst, std::size_t i) {
+    const Universe u = Universe::Letters(inst.n);
+    std::string out = "instance " + std::to_string(i) + " (n=" + std::to_string(inst.n) +
+                      "): goal " + inst.goal.ToString(u) + ", premises {";
+    for (std::size_t k = 0; k < inst.premises.size(); ++k) {
+      if (k > 0) out += "; ";
+      out += inst.premises[k].ToString(u);
+    }
+    return out + "}";
+  }
+
+  // Theorem 3.5 by enumeration, and the f_U witness of Section 3.
+  void CheckVerdict(const Instance& inst, const EngineQueryResult& r, const std::string& where) {
+    Result<ImplicationOutcome> oracle = CheckImplicationExhaustive(inst.n, inst.premises, inst.goal);
+    ASSERT_TRUE(oracle.ok()) << where << ": " << oracle.status().ToString();
+    if (r.outcome.verdict != oracle->verdict) {
+      ++mismatches_;
+      ADD_FAILURE() << where << ": engine verdict " << r.outcome.verdict << " by "
+                    << DecisionProcedureName(r.stats.procedure) << ", L(X, Y) ⊆ L(C) says "
+                    << oracle->verdict;
+    }
+    if (r.outcome.verdict != ImplicationOutcome::kNotImplied) return;
+    if (!r.outcome.counterexample.has_value() ||
+        !IsValidCounterexample(inst.n, inst.premises, inst.goal, *r.outcome.counterexample)) {
+      ++invalid_counterexamples_;
+      ADD_FAILURE() << where << ": counterexample is not in L(goal) minus L(C)";
+    }
+  }
+
+  // The dispatch rule.
+  void CheckProcedure(const Instance& inst, const EngineQueryResult& r,
+                      const std::string& where) {
+    const DecisionProcedure got = r.stats.procedure;
+    // Definition 3.1: L(X, Y) = ∅ iff some member of Y lies inside X.
+    if (inst.goal.rhs().SomeMemberSubsetOf(inst.goal.lhs())) {
+      EXPECT_EQ(got, DecisionProcedure::kTrivial) << where;
+      return;
+    }
+    // The FD subclass: every (compiled) premise and the goal have a
+    // single right-hand member.
+    Result<std::shared_ptr<const PreparedPremises>> prepared =
+        engine_.Prepare(inst.n, inst.premises);
+    ASSERT_TRUE(prepared.ok()) << where;
+    const ConstraintSet& compiled = (*prepared)->constraints();
+    const bool fd_eligible =
+        std::all_of(compiled.begin(), compiled.end(),
+                    [](const DifferentialConstraint& p) { return p.rhs().size() == 1; });
+    if (fd_eligible && inst.goal.rhs().size() == 1) {
+      EXPECT_EQ(got, DecisionProcedure::kFdSubclass) << where;
+      return;
+    }
+    if (got == DecisionProcedure::kExhaustive) {
+      // Only after SAT spent its whole decision budget, and only within
+      // the free-attribute bound.
+      EXPECT_GT(r.stats.solver.decisions, options_.max_solver_decisions) << where;
+      EXPECT_LE(inst.n - inst.goal.lhs().size(), options_.exhaustive_max_free_bits) << where;
+      return;
+    }
+    if (got == DecisionProcedure::kIntervalCover) {
+      EXPECT_TRUE(options_.use_interval_cover_fast_path) << where;
+      return;
+    }
+    EXPECT_EQ(got, DecisionProcedure::kSat) << where;
+  }
+
+  // A failed query may only be SAT out of budget where exhaustive
+  // enumeration is not allowed to rescue it.
+  void CheckExhaustion(const Instance& inst, const EngineQueryResult& r,
+                       const std::string& where) {
+    EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
+        << where << ": " << r.status.ToString();
+    EXPECT_EQ(r.stats.stopped_in, DecisionProcedure::kSat) << where;
+    EXPECT_GT(inst.n - inst.goal.lhs().size(), options_.exhaustive_max_free_bits) << where;
+    ++exhausted_;
+  }
+
+  EngineOptions options_;
+  ImplicationEngine engine_;
+  std::size_t answered_by_[6] = {};
+  std::size_t exhausted_ = 0;
+  std::size_t mismatches_ = 0;
+  std::size_t invalid_counterexamples_ = 0;
+};
+
+TEST(PlannerDifferentialTest, PlannerMatchesDefinitionsOn500PlusInstances) {
   std::vector<Instance> instances = MakeInstances(20260806);
   ASSERT_GE(instances.size(), 500u);
 
-  EngineOptions planner_opts;  // Defaults: planner on.
-  EngineOptions ladder_opts;
-  ladder_opts.use_planner = false;
-  ImplicationEngine planner_engine(planner_opts);
-  ImplicationEngine ladder_engine(ladder_opts);
-
+  PlannerOracle oracle(EngineOptions{});  // Defaults: every procedure on.
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Instance& inst = instances[i];
-    EngineQueryResult p = planner_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    EngineQueryResult l = ladder_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    ExpectIdenticalResults(p, l, i);
-    // Both must also agree with the sequential front door.
-    if (p.status.ok()) {
-      Result<ImplicationOutcome> seq = CheckImplication(inst.n, inst.premises, inst.goal);
-      ASSERT_TRUE(seq.ok());
-      EXPECT_EQ(p.outcome.implied, seq->implied) << "instance " << i;
-    }
+    EngineQueryResult r = oracle.Check(instances[i], i);
+    EXPECT_TRUE(r.status.ok()) << "instance " << i << ": " << r.status.ToString();
   }
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  EXPECT_EQ(oracle.invalid_counterexamples(), 0u);
+  // Every branch of the dispatch rule is exercised.
+  EXPECT_GT(oracle.answered_by(DecisionProcedure::kTrivial), 0u);
+  EXPECT_GT(oracle.answered_by(DecisionProcedure::kFdSubclass), 0u);
+  EXPECT_GT(oracle.answered_by(DecisionProcedure::kIntervalCover), 0u);
+  EXPECT_GT(oracle.answered_by(DecisionProcedure::kSat), 0u);
 }
 
-TEST(PlannerDifferentialTest, PlannerMatchesLadderUnderTinySolverBudget) {
+TEST(PlannerDifferentialTest, PlannerMatchesDefinitionsUnderTinySolverBudget) {
   // A 1-decision SAT budget with the interval-cover fast path off and a
   // 2-bit exhaustive gate forces ResourceExhausted on every instance unit
-  // propagation can't settle: the planner's pending-failure/fallback
-  // machinery must surface exactly the ladder's status and stopped_in.
+  // propagation can't settle and enumeration may not rescue: each answer
+  // is either OK and right, or that exhaustion.
   std::vector<Instance> instances = MakeInstances(99);
-  EngineOptions planner_opts;
-  planner_opts.max_solver_decisions = 1;
-  planner_opts.use_interval_cover_fast_path = false;
-  planner_opts.exhaustive_max_free_bits = 2;
-  EngineOptions ladder_opts = planner_opts;
-  ladder_opts.use_planner = false;
-  ImplicationEngine planner_engine(planner_opts);
-  ImplicationEngine ladder_engine(ladder_opts);
+  ASSERT_GE(instances.size(), 500u);
+  EngineOptions options;
+  options.max_solver_decisions = 1;
+  options.use_interval_cover_fast_path = false;
+  options.exhaustive_max_free_bits = 2;
 
-  std::size_t exhausted = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Instance& inst = instances[i];
-    EngineQueryResult p = planner_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    EngineQueryResult l = ladder_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    ExpectIdenticalResults(p, l, i);
-    if (!p.status.ok()) ++exhausted;
-  }
+  PlannerOracle oracle(options);
+  for (std::size_t i = 0; i < instances.size(); ++i) oracle.Check(instances[i], i);
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  EXPECT_EQ(oracle.invalid_counterexamples(), 0u);
   // The budget must actually bind on some instances or this test is vacuous.
-  EXPECT_GT(exhausted, 0u);
+  EXPECT_GT(oracle.exhausted(), 0u);
 }
 
 TEST(PlannerDifferentialTest, SimplifiedMatchesRawOn500PlusInstances) {
   // The rewrite canonicalizer (DESIGN.md §14) must be invisible to callers:
   // running every instance with the full rule set (simplify level 2) and
   // with the legacy inline path (level 0) must produce bit-for-bit equal
-  // verdicts, across both the planner and the ladder dispatch. Statuses
-  // must match too; counterexamples may legitimately differ (both engines
-  // pick a subset of L(goal) ∖ L(C), and the search order depends on the
-  // canonical form), so they are not compared here — their validity is
-  // pinned by the engine's own counterexample checks.
+  // verdicts. Statuses must match too; counterexamples may legitimately
+  // differ (both engines pick a subset of L(goal) ∖ L(C), and the search
+  // order depends on the canonical form), so they are not compared here —
+  // the oracle tests above pin their validity.
   std::vector<Instance> instances = MakeInstances(20260809);
   ASSERT_GE(instances.size(), 500u);
 
-  EngineOptions simplified_opts;  // Defaults: planner on, simplify level 2.
+  EngineOptions simplified_opts;  // Defaults: simplify level 2.
   EngineOptions raw_opts;
   raw_opts.simplify_level = 0;
-  EngineOptions ladder_simplified_opts = simplified_opts;
-  ladder_simplified_opts.use_planner = false;
-  EngineOptions ladder_raw_opts = raw_opts;
-  ladder_raw_opts.use_planner = false;
   ImplicationEngine simplified_engine(simplified_opts);
   ImplicationEngine raw_engine(raw_opts);
-  ImplicationEngine ladder_simplified_engine(ladder_simplified_opts);
-  ImplicationEngine ladder_raw_engine(ladder_raw_opts);
 
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& inst = instances[i];
     EngineQueryResult s = simplified_engine.CheckOne(inst.n, inst.premises, inst.goal);
     EngineQueryResult r = raw_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    EngineQueryResult ls = ladder_simplified_engine.CheckOne(inst.n, inst.premises, inst.goal);
-    EngineQueryResult lr = ladder_raw_engine.CheckOne(inst.n, inst.premises, inst.goal);
     ASSERT_TRUE(s.status.ok()) << "instance " << i << ": " << s.status.ToString();
     ASSERT_TRUE(r.status.ok()) << "instance " << i << ": " << r.status.ToString();
-    ASSERT_TRUE(ls.status.ok()) << "instance " << i << ": " << ls.status.ToString();
-    ASSERT_TRUE(lr.status.ok()) << "instance " << i << ": " << lr.status.ToString();
     EXPECT_EQ(s.outcome.verdict, r.outcome.verdict) << "instance " << i;
     EXPECT_EQ(s.outcome.implied, r.outcome.implied) << "instance " << i;
-    EXPECT_EQ(ls.outcome.verdict, lr.outcome.verdict) << "ladder instance " << i;
-    EXPECT_EQ(ls.outcome.implied, lr.outcome.implied) << "ladder instance " << i;
-    EXPECT_EQ(s.outcome.verdict, ls.outcome.verdict) << "cross instance " << i;
   }
 }
 
