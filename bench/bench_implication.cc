@@ -231,9 +231,9 @@ void PrintBatchEngineTable() {
               "(%+.2f%%)\n",
               no_deadline_ms, generous_ms, overhead_pct);
 
-  // Adversarial deadline run: 200 pigeonhole queries that each want ~25ms
-  // of DPLL under a 10ms per-query deadline and kDegrade.
-  const int kPhpHoles = 6;
+  // Adversarial deadline run: 200 pigeonhole queries that each want tens of
+  // milliseconds of SAT under a 10ms per-query deadline and kDegrade.
+  const int kPhpHoles = 7;
   prop::DnfFormula php = PigeonholeDnf(kPhpHoles);
   ConstraintSet php_premises = DnfTautologyReduction(php);
   const std::size_t kAdversarialQueries = 200;
@@ -360,8 +360,9 @@ void PrintObservabilityTable() {
 
   // Populate the deadline-slack histogram: the adversarial PHP degrade run
   // (near-zero slack) plus the friendly batch under a generous deadline
-  // (large slack), so the distribution has both tails.
-  const int kPhpHoles = 6;
+  // (large slack), so the distribution has both tails. PHP(8,7) runs past
+  // the 10ms deadline.
+  const int kPhpHoles = 7;
   prop::DnfFormula php = PigeonholeDnf(kPhpHoles);
   ConstraintSet php_premises = DnfTautologyReduction(php);
   std::vector<DifferentialConstraint> php_goals(100, TautologyGoal());

@@ -67,7 +67,9 @@ struct EngineOptions {
   /// Families whose transversal search exceeds it are cached negatively
   /// and handled by SAT.
   std::size_t witness_max_results = 4096;
-  /// DPLL decision budget per query (ResourceExhausted beyond it).
+  /// SAT decision budget per query: branch decisions of `prop::DpllSolver`
+  /// (ResourceExhausted beyond it). Conflicts and propagations are not
+  /// counted against it.
   std::uint64_t max_solver_decisions = 50'000'000;
   /// Free-attribute bound for the exhaustive fallback used when the SAT
   /// budget is exhausted.
@@ -140,7 +142,7 @@ struct QueryStats {
   /// out of the process-wide prepared-premises cache.
   bool premise_cache_used = false;
   bool premise_cache_hit = false;
-  /// DPLL counters (zero off the SAT path; last attempt only).
+  /// SAT solver counters (zero off the SAT path; last attempt only).
   prop::SolverStats solver;
   /// Wall time of this query across all attempts, nanoseconds.
   std::uint64_t wall_ns = 0;

@@ -9,15 +9,8 @@ namespace diffc::prop {
 
 namespace {
 
-// Literal value under a partial assignment: kTrue/kFalse/kUnassigned.
-std::int8_t LitValue(Literal lit, const std::vector<std::int8_t>& assignment) {
-  std::int8_t v = assignment[std::abs(lit) - 1];
-  if (v < 0) return v;
-  return (lit > 0) == (v == 1) ? std::int8_t{1} : std::int8_t{0};
-}
-
-// Registry handles for the DPLL solver. The hot loops only touch the local
-// `stats_` struct; these aggregates are flushed once per Solve() call.
+// Registry handles for the DPLL solver. The search loop only touches the
+// local `stats_` struct; these aggregates are flushed once per Solve() call.
 struct DpllMetrics {
   obs::Counter* solves;
   obs::Counter* decisions;
@@ -28,9 +21,9 @@ struct DpllMetrics {
     obs::Registry& r = obs::Registry::Global();
     solves = r.GetCounter("diffc_dpll_solves_total", "DPLL Solve() calls.");
     decisions = r.GetCounter("diffc_dpll_decisions_total", "DPLL branch decisions.");
-    propagations =
-        r.GetCounter("diffc_dpll_propagations_total", "DPLL unit propagations.");
-    conflicts = r.GetCounter("diffc_dpll_conflicts_total", "DPLL conflicts.");
+    propagations = r.GetCounter("diffc_dpll_propagations_total",
+                                "DPLL implied assignments propagated.");
+    conflicts = r.GetCounter("diffc_dpll_conflicts_total", "DPLL conflicts analyzed.");
   }
 };
 
@@ -58,131 +51,249 @@ class FlushStatsOnExit {
 
 }  // namespace
 
-Result<SatResult> DpllSolver::Solve(const Cnf& cnf) {
-  stats_ = SolverStats{};
-  FlushStatsOnExit flush(&stats_);
-  budget_exceeded_ = false;
-  stop_status_ = Status::Ok();
-  for (const Clause& clause : cnf.clauses) {
-    if (clause.empty()) return SatResult{};  // Trivially unsatisfiable.
-    for (Literal lit : clause) {
-      if (lit == 0 || std::abs(lit) > cnf.num_vars) {
-        return Status::InvalidArgument("literal out of range in CNF");
-      }
-    }
-  }
-  std::vector<std::int8_t> assignment(cnf.num_vars, kUnassigned);
-  bool sat = Search(cnf, assignment);
-  if (!stop_status_.ok()) return stop_status_;
-  if (budget_exceeded_) {
-    return Status::ResourceExhausted("DPLL decision budget exceeded");
-  }
-  SatResult result;
-  result.satisfiable = sat;
-  if (sat) {
-    result.model.resize(cnf.num_vars);
-    for (int v = 0; v < cnf.num_vars; ++v) {
-      // Variables untouched by the search are irrelevant; default to false.
-      result.model[v] = assignment[v] == kTrue;
-    }
-  }
-  return result;
+void DpllSolver::AddWatchedClause(int clause_index) {
+  const std::vector<Lit>& c = clauses_[clause_index];
+  watches_[c[0]].push_back(clause_index);
+  if (c.size() > 1) watches_[c[1]].push_back(clause_index);
 }
 
-bool DpllSolver::Propagate(const Cnf& cnf, std::vector<std::int8_t>& assignment,
-                           std::vector<int>& trail) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Clause& clause : cnf.clauses) {
-      Literal unit = 0;
-      bool satisfied = false;
-      int unassigned = 0;
-      for (Literal lit : clause) {
-        std::int8_t v = LitValue(lit, assignment);
-        if (v == 1) {
-          satisfied = true;
+void DpllSolver::Enqueue(Lit l, int reason) {
+  const int var = VarOf(l);
+  assignment_[var] = SignOf(l) ? kFalse : kTrue;
+  saved_phase_[var] = SignOf(l);
+  level_[var] = static_cast<int>(trail_limits_.size());
+  reason_[var] = reason;
+  trail_.push_back(l);
+}
+
+int DpllSolver::Propagate() {
+  while (propagate_head_ < trail_.size()) {
+    const Lit assigned = trail_[propagate_head_++];
+    ++stats_.propagations;
+    const Lit false_lit = Negate(assigned);  // Literals watching this are now false.
+    std::vector<int>& watch_list = watches_[false_lit];
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < watch_list.size(); ++i) {
+      const int ci = watch_list[i];
+      std::vector<Lit>& c = clauses_[ci];
+      // Normalize: watched literals are c[0] and c[1]; put false_lit at c[1].
+      if (c.size() == 1) {
+        // Unit clause re-propagated: conflict iff its literal is false.
+        if (LitValue(c[0]) == kFalse) {
+          for (std::size_t j = i; j < watch_list.size(); ++j) {
+            watch_list[keep++] = watch_list[j];
+          }
+          watch_list.resize(keep);
+          return ci;
+        }
+        watch_list[keep++] = ci;
+        continue;
+      }
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      if (LitValue(c[0]) == kTrue) {
+        watch_list[keep++] = ci;  // Clause satisfied; keep the watch.
+        continue;
+      }
+      // Look for a replacement watch.
+      bool moved = false;
+      for (std::size_t k = 2; k < c.size(); ++k) {
+        if (LitValue(c[k]) != kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[c[1]].push_back(ci);
+          moved = true;
           break;
         }
-        if (v == kUnassigned) {
-          ++unassigned;
-          unit = lit;
-          if (unassigned > 1) break;
+      }
+      if (moved) continue;  // Watch moved: drop from this list.
+      watch_list[keep++] = ci;
+      if (LitValue(c[0]) == kFalse) {
+        // Conflict: restore the remainder of the watch list first.
+        for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
+          watch_list[keep++] = watch_list[j];
         }
+        watch_list.resize(keep);
+        return ci;
       }
-      if (satisfied) continue;
-      if (unassigned == 0) {
-        ++stats_.conflicts;
-        return false;  // All literals false: conflict.
-      }
-      if (unassigned == 1) {
-        int var = std::abs(unit) - 1;
-        assignment[var] = unit > 0 ? kTrue : kFalse;
-        trail.push_back(var);
-        ++stats_.propagations;
-        changed = true;
-      }
+      Enqueue(c[0], ci);  // Unit: propagate.
     }
+    watch_list.resize(keep);
   }
-  return true;
+  return -1;
 }
 
-int DpllSolver::PickBranchVariable(const Cnf& cnf,
-                                   const std::vector<std::int8_t>& assignment) const {
-  // Most occurrences among clauses that are not yet satisfied.
-  std::vector<int> score(cnf.num_vars, 0);
-  for (const Clause& clause : cnf.clauses) {
-    bool satisfied = false;
-    for (Literal lit : clause) {
-      if (LitValue(lit, assignment) == 1) {
-        satisfied = true;
-        break;
+void DpllSolver::BumpVar(int var) {
+  activity_[var] += activity_increment_;
+  if (activity_[var] > 1e100) {
+    for (double& a : activity_) a *= 1e-100;
+    activity_increment_ *= 1e-100;
+  }
+}
+
+void DpllSolver::DecayActivities() { activity_increment_ /= 0.95; }
+
+int DpllSolver::Analyze(int conflict_clause, std::vector<Lit>& learned) {
+  learned.clear();
+  learned.push_back(0);  // Placeholder for the asserting (UIP) literal.
+  std::vector<bool> seen(num_vars_, false);
+  int counter = 0;  // Literals of the current level still to resolve.
+  Lit p = -1;
+  int clause = conflict_clause;
+  std::size_t trail_index = trail_.size();
+  const int current_level = static_cast<int>(trail_limits_.size());
+
+  while (true) {
+    const std::vector<Lit>& c = clauses_[clause];
+    // Skip c[0] when it is the literal we just resolved on.
+    for (std::size_t i = (p == -1 ? 0 : 1); i < c.size(); ++i) {
+      const Lit q = c[i];
+      const int v = VarOf(q);
+      if (seen[v] || level_[v] == 0) continue;
+      seen[v] = true;
+      BumpVar(v);
+      if (level_[v] == current_level) {
+        ++counter;
+      } else {
+        learned.push_back(q);
       }
     }
-    if (satisfied) continue;
-    for (Literal lit : clause) {
-      int var = std::abs(lit) - 1;
-      if (assignment[var] == kUnassigned) ++score[var];
+    // Find the next current-level literal on the trail to resolve.
+    while (!seen[VarOf(trail_[trail_index - 1])]) --trail_index;
+    --trail_index;
+    p = trail_[trail_index];
+    seen[VarOf(p)] = false;
+    --counter;
+    if (counter == 0) break;
+    clause = reason_[VarOf(p)];
+  }
+  learned[0] = Negate(p);  // The first UIP, asserted after backjumping.
+
+  // Backjump level: the highest level among the other learned literals.
+  int backjump = 0;
+  for (std::size_t i = 1; i < learned.size(); ++i) {
+    backjump = std::max(backjump, level_[VarOf(learned[i])]);
+  }
+  // Watch invariant: learned[1] must be a highest-level literal.
+  for (std::size_t i = 2; i < learned.size(); ++i) {
+    if (level_[VarOf(learned[i])] > level_[VarOf(learned[1])]) {
+      std::swap(learned[1], learned[i]);
     }
   }
+  return backjump;
+}
+
+void DpllSolver::Backtrack(int target_level) {
+  if (static_cast<int>(trail_limits_.size()) <= target_level) return;
+  const std::size_t new_size = trail_limits_[target_level];
+  for (std::size_t i = new_size; i < trail_.size(); ++i) {
+    const int var = VarOf(trail_[i]);
+    assignment_[var] = kUnassigned;
+    reason_[var] = -1;
+  }
+  trail_.resize(new_size);
+  trail_limits_.resize(target_level);
+  propagate_head_ = new_size;
+}
+
+int DpllSolver::PickBranchVariable() const {
   int best = -1;
-  for (int v = 0; v < cnf.num_vars; ++v) {
-    if (assignment[v] == kUnassigned && (best == -1 || score[v] > score[best])) best = v;
+  for (int v = 0; v < num_vars_; ++v) {
+    if (assignment_[v] == kUnassigned && (best == -1 || activity_[v] > activity_[best])) {
+      best = v;
+    }
   }
   return best;
 }
 
-bool DpllSolver::Search(const Cnf& cnf, std::vector<std::int8_t>& assignment) {
-  if (budget_exceeded_ || !stop_status_.ok()) return false;
-  // Cooperative check-point: amortized inside StopCheck, so this is a
-  // branch and a decrement on all but every 1024th node.
-  if (stop_ != nullptr) {
-    Status s = stop_->Check();
-    if (!s.ok()) {
-      stop_status_ = std::move(s);
-      return false;
-    }
-  }
-  std::vector<int> trail;
-  if (!Propagate(cnf, assignment, trail)) {
-    for (int v : trail) assignment[v] = kUnassigned;
-    return false;
-  }
-  int var = PickBranchVariable(cnf, assignment);
-  if (var == -1) return true;  // Complete assignment, no conflict: model.
+Result<SatResult> DpllSolver::Solve(const Cnf& cnf) {
+  stats_ = SolverStats{};
+  FlushStatsOnExit flush(&stats_);
+  num_vars_ = cnf.num_vars;
+  clauses_.clear();
+  watches_.assign(2 * num_vars_, {});
+  assignment_.assign(num_vars_, kUnassigned);
+  saved_phase_.assign(num_vars_, true);  // Prefer false, like MiniSat.
+  level_.assign(num_vars_, 0);
+  reason_.assign(num_vars_, -1);
+  trail_.clear();
+  trail_limits_.clear();
+  propagate_head_ = 0;
+  activity_.assign(num_vars_, 0.0);
+  activity_increment_ = 1.0;
 
-  for (std::int8_t phase : {kTrue, kFalse}) {
-    if (!stop_status_.ok()) break;
-    if (++stats_.decisions > max_decisions_) {
-      budget_exceeded_ = true;
-      break;
+  // Load clauses: empty clause = UNSAT; duplicate literals merged;
+  // tautological clauses (p ∨ ¬p) dropped.
+  for (const Clause& input : cnf.clauses) {
+    if (input.empty()) return SatResult{};
+    std::vector<Lit> c;
+    c.reserve(input.size());
+    bool tautology = false;
+    for (Literal lit : input) {
+      if (lit == 0 || std::abs(lit) > num_vars_) {
+        return Status::InvalidArgument("literal out of range in CNF");
+      }
+      Lit l = Encode(lit);
+      if (std::find(c.begin(), c.end(), Negate(l)) != c.end()) tautology = true;
+      if (std::find(c.begin(), c.end(), l) == c.end()) c.push_back(l);
     }
-    assignment[var] = phase;
-    if (Search(cnf, assignment)) return true;
-    assignment[var] = kUnassigned;
+    if (tautology) continue;
+    clauses_.push_back(std::move(c));
+    AddWatchedClause(static_cast<int>(clauses_.size()) - 1);
+    // Top-level units propagate immediately below.
+    if (clauses_.back().size() == 1) {
+      const Lit unit = clauses_.back()[0];
+      if (LitValue(unit) == kFalse) return SatResult{};
+      if (LitValue(unit) == kUnassigned) {
+        Enqueue(unit, static_cast<int>(clauses_.size()) - 1);
+      }
+    }
   }
-  for (int v : trail) assignment[v] = kUnassigned;
-  return false;
+  if (Propagate() != -1) return SatResult{};
+
+  std::uint64_t conflicts_until_restart = 100;
+  std::uint64_t conflicts_since_restart = 0;
+
+  while (true) {
+    // Cooperative check-point: amortized inside StopCheck, so this is a
+    // branch and a decrement on all but every stride-th step.
+    if (stop_ != nullptr) {
+      Status s = stop_->Check();
+      if (!s.ok()) return s;
+    }
+    const int conflict = Propagate();
+    if (conflict != -1) {
+      ++stats_.conflicts;
+      ++conflicts_since_restart;
+      if (trail_limits_.empty()) return SatResult{};  // Conflict at level 0.
+      std::vector<Lit> learned;
+      const int backjump = Analyze(conflict, learned);
+      Backtrack(backjump);
+      clauses_.push_back(learned);
+      AddWatchedClause(static_cast<int>(clauses_.size()) - 1);
+      Enqueue(learned[0], static_cast<int>(clauses_.size()) - 1);
+      DecayActivities();
+      continue;
+    }
+    if (conflicts_since_restart >= conflicts_until_restart) {
+      conflicts_since_restart = 0;
+      conflicts_until_restart = conflicts_until_restart * 3 / 2;
+      Backtrack(0);
+      continue;
+    }
+    const int var = PickBranchVariable();
+    if (var == -1) {
+      // Complete assignment, no conflict: model.
+      SatResult result;
+      result.satisfiable = true;
+      result.model.resize(num_vars_);
+      for (int v = 0; v < num_vars_; ++v) result.model[v] = assignment_[v] == kTrue;
+      return result;
+    }
+    if (++stats_.decisions > max_decisions_) {
+      return Status::ResourceExhausted("DPLL decision budget exceeded");
+    }
+    trail_limits_.push_back(static_cast<int>(trail_.size()));
+    Enqueue(2 * var + (saved_phase_[var] ? 1 : 0), -1);
+  }
 }
 
 }  // namespace diffc::prop

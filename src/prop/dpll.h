@@ -2,7 +2,6 @@
 #define DIFFC_PROP_DPLL_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "prop/cnf.h"
@@ -26,8 +25,10 @@ struct SolverStats {
   std::uint64_t conflicts = 0;
 };
 
-/// A DPLL satisfiability solver: recursive search with unit propagation and
-/// a most-occurrences branching heuristic.
+/// A DPLL satisfiability solver with conflict-driven clause learning:
+/// two-watched-literal unit propagation, first-UIP conflict analysis with
+/// non-chronological backjumping, VSIDS-style activity ordering with phase
+/// saving, and geometric restarts.
 ///
 /// This is the decision procedure behind the coNP implication checker
 /// (Proposition 5.5): non-implication of a differential constraint is
@@ -42,8 +43,8 @@ class DpllSolver {
   explicit DpllSolver(std::uint64_t max_decisions = 50'000'000)
       : max_decisions_(max_decisions) {}
 
-  /// Installs a cooperative stop condition, checked (amortized) at every
-  /// search node; Solve returns its DeadlineExceeded / Cancelled status
+  /// Installs a cooperative stop condition, checked (amortized) once per
+  /// search step; Solve returns its DeadlineExceeded / Cancelled status
   /// when it fires mid-search. Non-owning; `stop` must outlive Solve.
   /// Pass nullptr to detach.
   void set_stop(StopCheck* stop) { stop_ = stop; }
@@ -52,24 +53,57 @@ class DpllSolver {
   /// satisfies every clause; `Cnf::IsSatisfiedBy` re-checks it in tests.
   Result<SatResult> Solve(const Cnf& cnf);
 
-  /// Statistics of the most recent Solve call.
+  /// Statistics of the most recent Solve call: branch decisions, implied
+  /// assignments, and conflicts analyzed.
   const SolverStats& stats() const { return stats_; }
 
  private:
+  // Internal literal encoding: 2*var for positive, 2*var+1 for negative.
+  using Lit = int;
+  static Lit Encode(Literal lit) {
+    int var = lit > 0 ? lit - 1 : -lit - 1;
+    return 2 * var + (lit < 0 ? 1 : 0);
+  }
+  static Lit Negate(Lit l) { return l ^ 1; }
+  static int VarOf(Lit l) { return l >> 1; }
+  static bool SignOf(Lit l) { return l & 1; }  // true = negative.
+
   enum : std::int8_t { kUnassigned = -1, kFalse = 0, kTrue = 1 };
 
-  bool Search(const Cnf& cnf, std::vector<std::int8_t>& assignment);
-  // Applies unit propagation; returns false on conflict. Appends assigned
-  // variables to `trail`.
-  bool Propagate(const Cnf& cnf, std::vector<std::int8_t>& assignment,
-                 std::vector<int>& trail);
-  int PickBranchVariable(const Cnf& cnf, const std::vector<std::int8_t>& assignment) const;
+  std::int8_t LitValue(Lit l) const {
+    std::int8_t v = assignment_[VarOf(l)];
+    if (v == kUnassigned) return kUnassigned;
+    return (v == kTrue) != SignOf(l) ? kTrue : kFalse;
+  }
+
+  void Enqueue(Lit l, int reason);
+  // Returns the index of a conflicting clause, or -1.
+  int Propagate();
+  // First-UIP analysis; fills `learned` (asserting literal first) and
+  // returns the backjump level.
+  int Analyze(int conflict_clause, std::vector<Lit>& learned);
+  void Backtrack(int level);
+  void BumpVar(int var);
+  void DecayActivities();
+  int PickBranchVariable() const;
+  void AddWatchedClause(int clause_index);
 
   std::uint64_t max_decisions_;
   SolverStats stats_;
-  bool budget_exceeded_ = false;
   StopCheck* stop_ = nullptr;
-  Status stop_status_;
+
+  int num_vars_ = 0;
+  std::vector<std::vector<Lit>> clauses_;
+  std::vector<std::vector<int>> watches_;  // Per encoded literal.
+  std::vector<std::int8_t> assignment_;    // Per variable.
+  std::vector<bool> saved_phase_;          // Per variable (true = negative).
+  std::vector<int> level_;                 // Per variable.
+  std::vector<int> reason_;                // Per variable: clause index or -1.
+  std::vector<Lit> trail_;
+  std::vector<int> trail_limits_;          // Trail size at each decision level.
+  std::size_t propagate_head_ = 0;
+  std::vector<double> activity_;
+  double activity_increment_ = 1.0;
 };
 
 }  // namespace diffc::prop

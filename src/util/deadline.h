@@ -90,7 +90,7 @@ class CancelToken {
 };
 
 /// The cooperative stop condition threaded through long-running search
-/// loops (DPLL, CDCL, the transversal search, the exhaustive implication
+/// loops (the SAT solver, the transversal search, the exhaustive implication
 /// checker): a deadline plus a cancel token, checked amortized.
 ///
 /// `Check()` is designed to sit on a hot path: it consults the clock and

@@ -19,8 +19,6 @@
 #include "fis/io.h"
 #include "fis/ndi.h"
 #include "fis/support.h"
-#include "prop/cdcl.h"
-#include "prop/minterm.h"
 #include "relational/simpson.h"
 #include "relational/boolean_dependency.h"
 #include "test_helpers.h"
@@ -296,34 +294,6 @@ TEST(DeepDs, CommonalitySatisfactionMatchesBasketAnalogy) {
       DifferentialConstraint c = testing::RandomConstraint(rng, n);
       EXPECT_EQ(mass.SatisfiesConstraint(c), SatisfiesDisjunctive(baskets, c));
     }
-  }
-}
-
-// ------------------------------------------------------------ prop solvers
-
-TEST(DeepProp, TseitinEquisatisfiableUnderCdcl) {
-  Rng rng(61);
-  const int n = 5;
-  for (int iter = 0; iter < 25; ++iter) {
-    std::vector<prop::FormulaPtr> parts;
-    int count = static_cast<int>(rng.UniformInt(1, 4));
-    for (int i = 0; i < count; ++i) {
-      std::vector<prop::FormulaPtr> lits;
-      int width = static_cast<int>(rng.UniformInt(1, 3));
-      for (int j = 0; j < width; ++j) {
-        prop::FormulaPtr v = prop::Formula::Var(static_cast<int>(rng.UniformInt(0, n - 1)));
-        lits.push_back(rng.Bernoulli(0.5) ? v : prop::Formula::Not(v));
-      }
-      parts.push_back(rng.Bernoulli(0.5) ? prop::Formula::And(lits)
-                                         : prop::Formula::Or(lits));
-    }
-    prop::FormulaPtr f =
-        rng.Bernoulli(0.5) ? prop::Formula::And(parts) : prop::Formula::Or(parts);
-    bool truth_sat = !prop::Minset(*f, n)->empty();
-    prop::Cnf cnf = prop::TseitinTransform(*f, n);
-    Result<prop::SatResult> r = prop::CdclSolver().Solve(cnf);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->satisfiable, truth_sat);
   }
 }
 

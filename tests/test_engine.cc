@@ -501,10 +501,11 @@ TEST(CacheTest, PreparedCacheEvictsAndDedupes) {
 // The adversarial instance is the pigeonhole DNF tautology PHP(holes+1,
 // holes) pushed through the Proposition 5.5 reduction: the interval-cover
 // fast path is provably inconclusive on it (the empty right-hand family's
-// only witness interval is not covered), so every query is pinned to DPLL,
-// whose cost scales steeply (holes=6 ≈ 6.5k decisions, holes=7 ≈ 65k
-// decisions ≈ hundreds of milliseconds) — and with 42+ free attributes the
-// exhaustive fallback is out of range, so exhaustion is genuine.
+// only witness interval is not covered), so every query is pinned to the
+// SAT solver, whose cost scales steeply (holes=6 ≈ 720 decisions, a few
+// milliseconds; holes=7 ≈ 3.7k decisions, tens of milliseconds) — and with
+// 42+ free attributes the exhaustive fallback is out of range, so
+// exhaustion is genuine.
 
 prop::DnfFormula PigeonholeDnf(int holes) {
   prop::DnfFormula f;
@@ -570,13 +571,25 @@ TEST(EngineReliabilityTest, FailPolicySurfacesDeadlineExceeded) {
   EXPECT_EQ(r.stats.attempts, 1);
 }
 
+// Decisions the SAT procedure takes on `p` with no budget. The solver is
+// deterministic, so a budgeted run of the same query fails exactly when its
+// budget is below this count.
+std::uint64_t UnboundedSatDecisions(const PigeonholeProblem& p) {
+  EngineQueryResult r = ImplicationEngine(EngineOptions{}).CheckOne(p.n, p.premises, p.goal);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.stats.procedure, DecisionProcedure::kSat);
+  return r.stats.solver.decisions;
+}
+
 TEST(EngineReliabilityTest, EscalatePolicyRetriesUntilTheBudgetFits) {
-  // PHP(7,6) needs ~6.5k DPLL decisions: a budget of 2000 fails, its
-  // doublings 4000 and 8000 fail and succeed respectively, so the query
-  // lands on attempt 3 with two observable escalations.
+  // With D the unbounded decision count and b = ceil(D/3), the budgets b
+  // and 2b fall short and 4b fits, so the query lands on attempt 3 with
+  // two observable escalations.
   PigeonholeProblem p = MakePigeonhole(6);
+  const std::uint64_t d = UnboundedSatDecisions(p);
+  ASSERT_GT(d, 4u);  // Else 2 * ceil(d/3) >= d.
   EngineOptions opts;
-  opts.max_solver_decisions = 2000;
+  opts.max_solver_decisions = (d + 2) / 3;
   opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
   opts.max_retries = 2;
   opts.escalate_backoff = std::chrono::nanoseconds(0);
@@ -594,7 +607,7 @@ TEST(EngineReliabilityTest, EscalatePolicyRetriesUntilTheBudgetFits) {
 TEST(EngineReliabilityTest, ExhaustedRetriesDegrade) {
   PigeonholeProblem p = MakePigeonhole(6);
   EngineOptions opts;
-  opts.max_solver_decisions = 100;  // 100 then 200: both far short.
+  opts.max_solver_decisions = 100;  // 100 then 200: both far short of ~720.
   opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
   opts.max_retries = 1;
   opts.escalate_backoff = std::chrono::nanoseconds(0);
@@ -638,10 +651,10 @@ TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
 }
 
 TEST(EngineReliabilityTest, AdversarialDeadlineBatchFinishesPromptly) {
-  // 1000 queries that each want ~26ms of DPLL, under a ~10ms per-query
-  // deadline and a 1s batch deadline: the batch must come in well under
-  // twice its deadline, every query OK (degraded), none failed.
-  PigeonholeProblem p = MakePigeonhole(6);
+  // 1000 queries that each want tens of milliseconds of SAT, under a ~10ms
+  // per-query deadline and a 1s batch deadline: the batch must come in well
+  // under twice its deadline, every query OK (degraded), none failed.
+  PigeonholeProblem p = MakePigeonhole(7);
   const std::size_t kQueries = 1000;
   std::vector<DifferentialConstraint> goals(kQueries, p.goal);
   EngineOptions opts;

@@ -12,7 +12,6 @@
 #include "lattice/decomposition.h"
 #include "lattice/hitting_set.h"
 #include "lattice/mobius.h"
-#include "prop/cdcl.h"
 #include "prop/dpll.h"
 #include "prop/minterm.h"
 #include "test_helpers.h"
@@ -62,29 +61,8 @@ TEST(GuardTest, MinsetEnumeration) {
 }
 
 TEST(GuardTest, DpllDecisionBudget) {
-  // A hard instance with a 2-decision budget must report exhaustion, not
-  // a wrong answer.
-  prop::Cnf cnf;
-  const int n = 12;
-  cnf.num_vars = n;
-  Rng rng(3);
-  for (int i = 0; i < n * 5; ++i) {
-    prop::Clause clause;
-    for (int j = 0; j < 3; ++j) {
-      int var = static_cast<int>(rng.UniformInt(0, n - 1));
-      clause.push_back(rng.Bernoulli(0.5) ? var + 1 : -(var + 1));
-    }
-    cnf.AddClause(std::move(clause));
-  }
-  prop::DpllSolver tiny(/*max_decisions=*/2);
-  Result<prop::SatResult> r = tiny.Solve(cnf);
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  }
-}
-
-TEST(GuardTest, CdclConflictBudget) {
-  // Pigeonhole needs many conflicts; a 3-conflict budget must exhaust.
+  // Pigeonhole PHP(6,5) needs far more than 3 decisions; a 3-decision
+  // budget must report exhaustion, not a wrong answer.
   const int holes = 5;
   const int pigeons = holes + 1;
   prop::Cnf cnf;
@@ -102,7 +80,7 @@ TEST(GuardTest, CdclConflictBudget) {
       }
     }
   }
-  prop::CdclSolver tiny(/*max_conflicts=*/3);
+  prop::DpllSolver tiny(/*max_decisions=*/3);
   EXPECT_EQ(tiny.Solve(cnf).status().code(), StatusCode::kResourceExhausted);
 }
 

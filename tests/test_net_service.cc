@@ -873,7 +873,7 @@ TEST(DiffcdServiceTest, SlowRequestsLandInTheSlowQueryLogWithTraceId) {
   ASSERT_TRUE(server.Start().ok());
 
   // PHP(8,7) pins the query in the SAT procedure for far longer than the
-  // 1 ms threshold (test_engine measures ~10^5 decisions), regardless of
+  // 1 ms threshold (~3.7k decisions, tens of milliseconds), regardless of
   // whether it finishes or degrades.
   prop::DnfFormula php = PigeonholeDnf(7);
   ConstraintSet premises = DnfTautologyReduction(php);

@@ -645,7 +645,7 @@ TEST(EngineObservabilityTest, DegradedQueryPopulatesSlackTraceAndEvents) {
   EXPECT_EQ(r.outcome.verdict, ImplicationOutcome::kUnknown);
 
   // The acceptance criterion: the trace names the phase that consumed the
-  // budget. PHP(8,7) dies inside DPLL, so the hottest leaf is "sat".
+  // budget. PHP(8,7) dies inside the SAT solver, so the hottest leaf is "sat".
   ASSERT_NE(r.trace, nullptr);
   ASSERT_FALSE(r.trace->spans.empty());
   int hottest = r.trace->HottestLeaf();
@@ -673,8 +673,15 @@ TEST(EngineObservabilityTest, EscalationsAreCountedPerRetry) {
 
   prop::DnfFormula f = PigeonholeDnf(6);
   ConstraintSet premises = DnfTautologyReduction(f);
+  // With D the unbounded (deterministic) decision count, the budgets
+  // ceil(D/3) and twice that fall short and four times it fits: two
+  // escalations.
+  const std::uint64_t d = ImplicationEngine(EngineOptions{})
+                              .CheckOne(f.num_vars, premises, TautologyGoal())
+                              .stats.solver.decisions;
+  ASSERT_GT(d, 4u);  // Else 2 * ceil(d/3) >= d.
   EngineOptions opts;
-  opts.max_solver_decisions = 2000;  // PHP(7,6) needs ~6.5k: two doublings.
+  opts.max_solver_decisions = (d + 2) / 3;
   opts.exhaustion_policy = ExhaustionPolicy::kEscalate;
   opts.max_retries = 2;
   opts.escalate_backoff = std::chrono::nanoseconds(0);

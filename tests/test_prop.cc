@@ -217,14 +217,69 @@ TEST(DpllTest, StatsPopulated) {
   EXPECT_GT(solver.stats().decisions + solver.stats().propagations, 0u);
 }
 
-// Property: DPLL agrees with exhaustive evaluation on random small CNFs.
+TEST(DpllTest, TautologicalClausesDropped) {
+  Cnf cnf;
+  cnf.num_vars = 2;
+  cnf.AddClause({1, -1});
+  cnf.AddClause({2});
+  Result<prop::SatResult> r = DpllSolver().Solve(cnf);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->satisfiable);
+  EXPECT_TRUE(r->model[1]);
+}
+
+// Pigeonhole principle PHP(pigeons, holes): every pigeon sits in some hole
+// and no hole holds two pigeons. Unsatisfiable iff pigeons > holes, and a
+// classically hard family for resolution, so it exercises clause learning.
+Cnf Pigeonhole(int pigeons, int holes) {
+  Cnf cnf;
+  cnf.num_vars = pigeons * holes;
+  auto var = [&](int p, int h) { return p * holes + h + 1; };
+  for (int p = 0; p < pigeons; ++p) {
+    prop::Clause clause;
+    for (int h = 0; h < holes; ++h) clause.push_back(var(p, h));
+    cnf.AddClause(std::move(clause));
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        cnf.AddClause({-var(p1, h), -var(p2, h)});
+      }
+    }
+  }
+  return cnf;
+}
+
+TEST(DpllTest, PigeonholeUnsat) {
+  for (int holes = 2; holes <= 5; ++holes) {
+    DpllSolver solver;
+    Result<prop::SatResult> r = solver.Solve(Pigeonhole(holes + 1, holes));
+    ASSERT_TRUE(r.ok()) << holes;
+    EXPECT_FALSE(r->satisfiable) << holes;
+    if (holes == 5) {
+      // Refuting PHP(6,5) takes conflicts, each analyzed into a learned clause.
+      EXPECT_GT(solver.stats().conflicts, 0u);
+    }
+  }
+}
+
+TEST(DpllTest, PigeonholeSatWhenEnoughHoles) {
+  Cnf cnf = Pigeonhole(4, 4);
+  Result<prop::SatResult> r = DpllSolver().Solve(cnf);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->satisfiable);
+  EXPECT_TRUE(cnf.IsSatisfiedBy(r->model));
+}
+
+// Property: DPLL agrees with exhaustive evaluation on random CNFs of up to
+// 12 variables across the phase transition (n to 5n clauses).
 class DpllProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DpllProperty, AgreesWithBruteForce) {
   Rng rng(GetParam() * 41);
   for (int iter = 0; iter < 30; ++iter) {
-    const int n = static_cast<int>(rng.UniformInt(1, 8));
-    const int clauses = static_cast<int>(rng.UniformInt(1, 20));
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    const int clauses = static_cast<int>(rng.UniformInt(n, 5 * n));
     Cnf cnf;
     cnf.num_vars = n;
     for (int c = 0; c < clauses; ++c) {
@@ -251,7 +306,7 @@ TEST_P(DpllProperty, AgreesWithBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DpllProperty, ::testing::Range(1, 13));
+INSTANTIATE_TEST_SUITE_P(Seeds, DpllProperty, ::testing::Range(1, 17));
 
 // ------------------------------------------------------------------ Tseitin
 
@@ -331,6 +386,12 @@ TEST(TautologyTest, EmptyDnfIsFalse) {
 TEST(TautologyTest, SatMatchesExhaustiveOnRandomDnfs) {
   for (int seed = 1; seed <= 40; ++seed) {
     DnfFormula f = prop::RandomDnf(5, 8, 2, seed);
+    EXPECT_EQ(*prop::IsDnfTautology(f), *prop::IsDnfTautologyExhaustive(f))
+        << "seed=" << seed;
+  }
+  // The denser shape of the coNP experiment (E2).
+  for (int seed = 1; seed <= 20; ++seed) {
+    DnfFormula f = prop::RandomDnf(8, 20, 3, seed);
     EXPECT_EQ(*prop::IsDnfTautology(f), *prop::IsDnfTautologyExhaustive(f))
         << "seed=" << seed;
   }
