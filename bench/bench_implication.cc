@@ -272,8 +272,7 @@ void PrintBatchEngineTable() {
          << "},\n";
     json << "  \"cache\": {\"witness_hits\": " << s.witness_cache_hits
          << ", \"witness_misses\": " << s.witness_cache_misses
-         << ", \"premise_hits\": " << s.premise_cache_hits
-         << ", \"premise_misses\": " << s.premise_cache_misses << "},\n";
+         << ", \"premise\": \"" << PremiseCacheEventName(s.premise_cache) << "\"},\n";
   }
   json << "  \"deadline_overhead\": {\"reps\": " << kOverheadReps
        << ", \"no_deadline_ms\": " << no_deadline_ms

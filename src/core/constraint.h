@@ -36,6 +36,12 @@ class DifferentialConstraint {
     return rhs_ == SetFamily::Singletons(lhs_.ComplementIn(n));
   }
 
+  /// True iff `X` and every member of `Y` lie in the `n`-attribute
+  /// universe `{0, ..., n-1}`. Requires 0 <= n <= 64.
+  bool InUniverse(int n) const {
+    return IsSubset(lhs_.bits() | rhs_.UnionOfMembers().bits(), FullMask(n));
+  }
+
   /// Renders "X -> {Y1, Y2, ...}".
   std::string ToString(const Universe& u) const {
     return lhs_.ToString(u) + " -> " + rhs_.ToString(u);

@@ -1,6 +1,6 @@
 #include "core/implication.h"
 
-#include <iterator>
+#include <string>
 
 #include "lattice/decomposition.h"
 #include "prop/cnf.h"
@@ -16,9 +16,25 @@ bool InConstraintLattice(const ConstraintSet& premises, const ItemSet& u) {
   return false;
 }
 
+Status ValidateUniverse(int n, const ConstraintSet& premises,
+                        const DifferentialConstraint* goal) {
+  if (n < 0 || n > 64) return Status::InvalidArgument("universe size must be in [0, 64]");
+  auto outside = [n](const std::string& what) {
+    return Status::InvalidArgument(what + " has attributes outside the " + std::to_string(n) +
+                                   "-attribute universe");
+  };
+  for (std::size_t i = 0; i < premises.size(); ++i) {
+    if (!premises[i].InUniverse(n)) return outside("premise " + std::to_string(i));
+  }
+  if (goal != nullptr && !goal->InUniverse(n)) return outside("goal");
+  return Status::Ok();
+}
+
 Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet& premises,
                                                       const DifferentialConstraint& goal,
                                                       int max_free_bits, StopCheck* stop) {
+  Status valid = ValidateUniverse(n, premises, &goal);
+  if (!valid.ok()) return valid;
   const int free_bits = n - goal.lhs().size();
   if (free_bits > max_free_bits) {
     return Status::ResourceExhausted("exhaustive implication over " +
@@ -50,16 +66,41 @@ Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet
 
 PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
   PremiseTranslation out;
+  out.n = n;
   out.num_vars = n;
+  if (!ValidateUniverse(n, premises).ok()) {
+    out.in_universe = false;
+    return out;
+  }
+  // Sizes first, so every buffer is allocated once: per premise, one
+  // auxiliary and one definition clause per member attribute, and the main
+  // clause over the left-hand side and the auxiliaries.
+  std::size_t clauses = 0;
+  std::size_t literals = 0;
+  for (const DifferentialConstraint& p : premises) {
+    std::size_t member_items = 0;
+    for (const ItemSet& member : p.rhs().members()) {
+      member_items += static_cast<std::size_t>(member.size());
+    }
+    out.num_vars += p.rhs().size();
+    clauses += member_items + 1;
+    literals += 2 * member_items + static_cast<std::size_t>(p.lhs().size() + p.rhs().size());
+  }
+  out.clauses.reserve(clauses);
+  out.compiled.Reset(out.num_vars);
+  out.compiled.Reserve(clauses, literals);
   // Each premise must not witness U: X' ⊄ U, or some member of Y' ⊆ U —
   // one clause block per premise (`TranslateImplicationConstraint`), with
   // auxiliary variables numbered consecutively across blocks.
+  int next_aux = n + 1;
   for (const DifferentialConstraint& p : premises) {
     prop::ConstraintClauseBlock block =
-        prop::TranslateImplicationConstraint(p.lhs(), p.rhs(), out.num_vars + 1);
-    out.num_vars += block.aux_vars;
-    out.clauses.insert(out.clauses.end(), std::make_move_iterator(block.clauses.begin()),
-                       std::make_move_iterator(block.clauses.end()));
+        prop::TranslateImplicationConstraint(p.lhs(), p.rhs(), next_aux);
+    next_aux += block.aux_vars;
+    for (prop::Clause& clause : block.clauses) {
+      out.compiled.AddClauseUnchecked(clause);
+      out.clauses.push_back(std::move(clause));
+    }
   }
   return out;
 }
@@ -67,8 +108,28 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats) {
+  Status valid = ValidateUniverse(n, premises, &goal);
+  if (!valid.ok()) return valid;
   return CheckImplicationSatTranslated(n, TranslatePremises(n, premises), goal, stats);
 }
+
+namespace {
+
+// The calling thread's solver and goal overlay. Their buffers keep their
+// capacity from one query to the next, so a warm query allocates only its
+// answer.
+struct SatScratch {
+  prop::DpllSolver solver;
+  prop::CompiledCnf goal;
+  prop::Clause member;
+};
+
+SatScratch& ThreadSatScratch() {
+  thread_local SatScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 Result<ImplicationOutcome> CheckImplicationSatTranslated(
     int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
@@ -76,25 +137,33 @@ Result<ImplicationOutcome> CheckImplicationSatTranslated(
   if (DIFFC_FAILPOINT("cnf/translate")) {
     return Status::Internal("failpoint cnf/translate: CNF translation failed");
   }
-  prop::Cnf cnf;
-  cnf.num_vars = translation.num_vars;
-
+  if (!translation.in_universe || translation.n != n) {
+    return Status::InvalidArgument("premise translation is not over the " + std::to_string(n) +
+                                   "-attribute universe");
+  }
+  Status valid = ValidateUniverse(n, {}, &goal);
+  if (!valid.ok()) return valid;
+  SatScratch& scratch = ThreadSatScratch();
+  prop::CompiledCnf& overlay = scratch.goal;
+  overlay.Reset(translation.num_vars);
   // U must contain the goal's left-hand side...
-  ForEachBit(goal.lhs().bits(), [&](int a) { cnf.AddClause({a + 1}); });
+  ForEachBit(goal.lhs().bits(), [&](int a) {
+    const prop::Literal u = a + 1;
+    overlay.AddClauseUnchecked({&u, 1});
+  });
   // ...and no goal member (so U ∈ L(X, Y)). An empty member yields the
   // empty clause: the goal is trivial and the CNF unsatisfiable, as wanted.
   for (const ItemSet& member : goal.rhs().members()) {
-    prop::Clause clause;
-    ForEachBit(member.bits(), [&](int y) { clause.push_back(-(y + 1)); });
-    cnf.AddClause(std::move(clause));
+    scratch.member.clear();
+    ForEachBit(member.bits(), [&](int y) { scratch.member.push_back(-(y + 1)); });
+    overlay.AddClauseUnchecked(scratch.member);
   }
-  // The (shared) premise clauses of Proposition 5.4.
-  cnf.clauses.insert(cnf.clauses.end(), translation.clauses.begin(),
-                     translation.clauses.end());
 
-  prop::DpllSolver solver(max_decisions);
+  prop::DpllSolver& solver = scratch.solver;
+  solver.set_max_decisions(max_decisions);
   solver.set_stop(stop);
-  Result<prop::SatResult> sat = solver.Solve(cnf);
+  Result<prop::SatResult> sat = solver.Solve(translation.compiled, overlay);
+  solver.set_stop(nullptr);
   if (stats != nullptr) *stats = solver.stats();
   if (!sat.ok()) return sat.status();
 
@@ -179,6 +248,8 @@ Result<ImplicationOutcome> CheckImplicationFd(int n, const ConstraintSet& premis
 
 Result<ImplicationOutcome> CheckImplication(int n, const ConstraintSet& premises,
                                             const DifferentialConstraint& goal) {
+  Status valid = ValidateUniverse(n, premises, &goal);
+  if (!valid.ok()) return valid;
   if (goal.IsTrivial()) {
     ImplicationOutcome out;
     out.SetImplied();

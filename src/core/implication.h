@@ -56,11 +56,20 @@ struct ImplicationOutcome {
 /// fast path.
 bool InConstraintLattice(const ConstraintSet& premises, const ItemSet& u);
 
+/// OK iff `n` is in [0, 64] and the premises (and `goal`, when non-null)
+/// lie in the `n`-attribute universe; InvalidArgument otherwise. Every
+/// checker below assumes it: in the Proposition 5.4 CNF an attribute
+/// `a >= n` would land on auxiliary variable `a + 1`, and the exhaustive
+/// walk never enumerates it.
+Status ValidateUniverse(int n, const ConstraintSet& premises,
+                        const DifferentialConstraint* goal = nullptr);
+
 /// Decides `premises |= goal` by the syntactic criterion of Theorem 3.5,
 /// `L(C) ⊇ L(X, Y)`, checked by exhaustive enumeration of `L(X, Y)`.
 /// Exact but exponential; requires `n - |X| <= max_free_bits`. `stop`,
 /// when non-null, is checked (amortized) per enumerated set; a fired
 /// deadline / cancel token aborts and its status is returned.
+/// InvalidArgument when `ValidateUniverse` fails.
 Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet& premises,
                                                       const DifferentialConstraint& goal,
                                                       int max_free_bits = 24,
@@ -72,19 +81,33 @@ Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet
 /// are the auxiliary member variables. Goal clauses mention only attribute
 /// variables, so the (dominant) premise clauses can be built once per
 /// `ConstraintSet` and shared by every query against it — the implication
-/// engine caches exactly this object.
+/// engine keeps exactly this object in each prepared artifact.
 struct PremiseTranslation {
+  /// The universe size the premises were translated over.
+  int n = 0;
   /// Total variable count: `n` attribute variables plus one auxiliary per
   /// premise right-hand member.
   int num_vars = 0;
   /// The premise clauses (auxiliary definitions interleaved with each
-  /// premise's main clause, in premise order).
+  /// premise's main clause, in premise order): the readable view.
   std::vector<prop::Clause> clauses;
+  /// The same clauses compiled for the solver, in the same order — what
+  /// `CheckImplicationSatTranslated` solves on.
+  prop::CompiledCnf compiled;
+  /// False when `n` is outside [0, 64] or some premise mentions an
+  /// attribute outside the universe; `clauses` and `compiled` are then
+  /// empty and `CheckImplicationSatTranslated` returns InvalidArgument.
+  bool in_universe = true;
 };
 
 /// Builds the premise clauses of Proposition 5.4 over `n` attributes:
 ///
 ///   ∧_{X'->Y' ∈ C} ( (∨_{a∈X'} ¬u_a) ∨ ∨_j aux_j ),  aux_j → ∧_{y∈Y'_j} u_y
+///
+/// and compiles them in the same pass. No clause repeats a variable (the
+/// main clause mentions distinct attributes and distinct auxiliaries, each
+/// definition one auxiliary and one attribute), so nothing is merged or
+/// dropped: `compiled` equals `prop::CompiledCnf::Compile` of `clauses`.
 PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises);
 
 /// Decides `premises |= goal` through the propositional translation
@@ -96,7 +119,8 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises);
 ///
 /// is satisfiable. One variable per attribute plus one auxiliary variable
 /// per premise member; no universe-size restriction beyond 64 attributes.
-/// `stats`, when non-null, receives the solver counters.
+/// `stats`, when non-null, receives the solver counters. InvalidArgument
+/// when `ValidateUniverse` fails.
 Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
                                                const DifferentialConstraint& goal,
                                                prop::SolverStats* stats = nullptr);
@@ -108,6 +132,14 @@ Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premi
 /// `max_decisions` bounds the DPLL search (ResourceExhausted beyond it);
 /// `stop`, when non-null, is handed to the solver as a cooperative stop
 /// condition (DeadlineExceeded / Cancelled when it fires mid-search).
+/// InvalidArgument when the translation is not `in_universe`, was built
+/// for another `n`, or the goal leaves the `n`-attribute universe.
+///
+/// The goal is posed as a small overlay on `translation.compiled` (its
+/// left-hand side as unit clauses, one negative clause per member) and
+/// solved on a solver owned by the calling thread, whose buffers stay warm
+/// from one query to the next. No per-query CNF is built: the solver takes
+/// the compiled arena in one bulk copy into buffers it already owns.
 Result<ImplicationOutcome> CheckImplicationSatTranslated(
     int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
     prop::SolverStats* stats = nullptr, std::uint64_t max_decisions = 50'000'000,
@@ -152,7 +184,7 @@ Result<ImplicationOutcome> CheckImplicationFdIndexed(int n, const FdPremiseIndex
                                                      const DifferentialConstraint& goal);
 
 /// Front door: dispatches to the FD subclass when applicable, otherwise to
-/// the SAT-based procedure.
+/// the SAT-based procedure. InvalidArgument when `ValidateUniverse` fails.
 Result<ImplicationOutcome> CheckImplication(int n, const ConstraintSet& premises,
                                             const DifferentialConstraint& goal);
 

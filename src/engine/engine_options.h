@@ -137,11 +137,6 @@ struct QueryStats {
   /// Witness-set cache hit/lookup flags (fast-path queries only).
   bool witness_cache_used = false;
   bool witness_cache_hit = false;
-  /// Premise-compilation cache hit/lookup flags (SAT queries only): whether
-  /// the prepared artifact whose translation the SAT procedure used came
-  /// out of the process-wide prepared-premises cache.
-  bool premise_cache_used = false;
-  bool premise_cache_hit = false;
   /// SAT solver counters (zero off the SAT path; last attempt only).
   prop::SolverStats solver;
   /// Wall time of this query across all attempts, nanoseconds.

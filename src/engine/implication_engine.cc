@@ -190,6 +190,18 @@ const char* DecisionProcedureName(DecisionProcedure p) {
   return "unknown";
 }
 
+const char* PremiseCacheEventName(PremiseCacheEvent e) {
+  switch (e) {
+    case PremiseCacheEvent::kNotConsulted:
+      return "none";
+    case PremiseCacheEvent::kHit:
+      return "hit";
+    case PremiseCacheEvent::kMiss:
+      return "miss";
+  }
+  return "unknown";
+}
+
 std::string BatchStats::ToString() const {
   std::string s;
   s += "queries=" + std::to_string(queries);
@@ -207,8 +219,7 @@ std::string BatchStats::ToString() const {
   s += " exhaustive=" + std::to_string(by_exhaustive);
   s += " | witness_cache=" + std::to_string(witness_cache_hits) + "h/" +
        std::to_string(witness_cache_misses) + "m";
-  s += " premise_cache=" + std::to_string(premise_cache_hits) + "h/" +
-       std::to_string(premise_cache_misses) + "m";
+  s += " premise_cache=" + std::string(PremiseCacheEventName(premise_cache));
   s += " | decisions=" + std::to_string(solver_decisions);
   s += " conflicts=" + std::to_string(solver_conflicts);
   s += " batch_ms=" + std::to_string(batch_wall_ns / 1000000.0);
@@ -246,8 +257,7 @@ EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepar
                                                   const DifferentialConstraint& goal,
                                                   StopCheck* stop,
                                                   const ProcedureBudgets& budgets,
-                                                  obs::Tracer* tracer,
-                                                  bool prepared_from_cache) {
+                                                  obs::Tracer* tracer) {
   EngineQueryResult r;
   const std::uint64_t start = NowNs();
 
@@ -268,7 +278,6 @@ EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepar
   ctx.stop = stop;
   ctx.tracer = tracer;
   ctx.stats = &r.stats;
-  ctx.prepared_from_cache = prepared_from_cache;
   PlanOutcome out = ExecutePlan(plan, prepared, query, &ctx);
   r.status = std::move(out.status);
   r.outcome = out.outcome;
@@ -279,8 +288,7 @@ EngineQueryResult ImplicationEngine::RunQueryOnce(const PreparedPremises& prepar
 EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
                                               const DifferentialConstraint& goal,
                                               const Deadline& batch_deadline,
-                                              const CancelToken& cancel,
-                                              bool prepared_from_cache) {
+                                              const CancelToken& cancel) {
   if (DIFFC_FAILPOINT("engine/throw")) {
     throw std::runtime_error("failpoint engine/throw: query task threw");
   }
@@ -303,7 +311,7 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
     {
       obs::SpanGuard attempt_span(&tracer,
                                   attempt == 1 ? "attempt" : "attempt-retry");
-      r = RunQueryOnce(prepared, goal, &stop, budgets, &tracer, prepared_from_cache);
+      r = RunQueryOnce(prepared, goal, &stop, budgets, &tracer);
     }
     r.stats.attempts = attempt;
     if (r.status.ok() || !IsExhaustion(r.status)) break;
@@ -362,14 +370,20 @@ EngineQueryResult ImplicationEngine::RunQuery(const PreparedPremises& prepared,
 EngineQueryResult ImplicationEngine::GuardedRunQuery(const PreparedPremises& prepared,
                                                      const DifferentialConstraint& goal,
                                                      const Deadline& batch_deadline,
-                                                     const CancelToken& cancel,
-                                                     bool prepared_from_cache) {
+                                                     const CancelToken& cancel) {
+  EngineQueryResult r;
+  // Checked once here, before any procedure sees it: an attribute outside
+  // the universe would land on a Proposition 5.4 auxiliary variable.
+  r.status = ValidateUniverse(prepared.n(), {}, &goal);
+  if (!r.status.ok()) {
+    RecordQueryMetrics(r);
+    return r;
+  }
   // A decision procedure that throws must fail its own query, not the
   // process: the pool's loop-level catch would keep the worker alive but
   // lose the error.
-  EngineQueryResult r;
   try {
-    r = RunQuery(prepared, goal, batch_deadline, cancel, prepared_from_cache);
+    r = RunQuery(prepared, goal, batch_deadline, cancel);
   } catch (const std::exception& e) {
     r = EngineQueryResult{};
     r.status = Status::Internal(std::string("uncaught exception in query: ") + e.what());
@@ -383,14 +397,13 @@ EngineQueryResult ImplicationEngine::GuardedRunQuery(const PreparedPremises& pre
 
 EngineQueryResult ImplicationEngine::CheckOne(int n, const ConstraintSet& premises,
                                               const DifferentialConstraint& goal) {
-  bool from_cache = false;
-  Result<std::shared_ptr<const PreparedPremises>> prepared = Prepare(n, premises, &from_cache);
+  Result<std::shared_ptr<const PreparedPremises>> prepared = Prepare(n, premises);
   if (!prepared.ok()) {
     EngineQueryResult r;
     r.status = prepared.status();
     return r;
   }
-  return GuardedRunQuery(**prepared, goal, OptionsBatchDeadline(), CancelToken(), from_cache);
+  return GuardedRunQuery(**prepared, goal, OptionsBatchDeadline(), CancelToken());
 }
 
 EngineQueryResult ImplicationEngine::CheckOne(
@@ -401,10 +414,7 @@ EngineQueryResult ImplicationEngine::CheckOne(
     r.status = Status::InvalidArgument("prepared premises must be non-null");
     return r;
   }
-  // An explicitly prepared artifact is amortized by construction; queries
-  // report it as a premise-compilation cache hit.
-  return GuardedRunQuery(*prepared, goal, OptionsBatchDeadline(), CancelToken(),
-                         /*prepared_from_cache=*/true);
+  return GuardedRunQuery(*prepared, goal, OptionsBatchDeadline(), CancelToken());
 }
 
 Result<BatchOutcome> ImplicationEngine::CheckBatch(
@@ -413,8 +423,12 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   bool from_cache = false;
   Result<std::shared_ptr<const PreparedPremises>> prepared = Prepare(n, premises, &from_cache);
   if (!prepared.ok()) return prepared.status();
-  return RunBatch(*std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
-                  from_cache);
+  Result<BatchOutcome> out =
+      RunBatch(*std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel));
+  if (out.ok() && options_.use_prepared_cache) {
+    out->stats.premise_cache = from_cache ? PremiseCacheEvent::kHit : PremiseCacheEvent::kMiss;
+  }
+  return out;
 }
 
 Result<BatchOutcome> ImplicationEngine::CheckBatch(
@@ -423,8 +437,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   if (prepared == nullptr) {
     return Status::InvalidArgument("prepared premises must be non-null");
   }
-  return RunBatch(std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel),
-                  /*prepared_from_cache=*/true);
+  return RunBatch(std::move(prepared), goals, OptionsBatchDeadline(), std::move(cancel));
 }
 
 Result<BatchOutcome> ImplicationEngine::CheckBatch(
@@ -434,8 +447,7 @@ Result<BatchOutcome> ImplicationEngine::CheckBatch(
   if (prepared == nullptr) {
     return Status::InvalidArgument("prepared premises must be non-null");
   }
-  return RunBatch(std::move(prepared), goals, batch_deadline, std::move(cancel),
-                  /*prepared_from_cache=*/true);
+  return RunBatch(std::move(prepared), goals, batch_deadline, std::move(cancel));
 }
 
 Deadline ImplicationEngine::OptionsBatchDeadline() const {
@@ -446,7 +458,7 @@ Deadline ImplicationEngine::OptionsBatchDeadline() const {
 Result<BatchOutcome> ImplicationEngine::RunBatch(
     std::shared_ptr<const PreparedPremises> prepared,
     const std::vector<DifferentialConstraint>& goals, Deadline batch_deadline,
-    CancelToken cancel, bool prepared_from_cache) {
+    CancelToken cancel) {
   BatchOutcome out;
   out.results.resize(goals.size());
   const std::uint64_t batch_start = NowNs();
@@ -460,7 +472,7 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
 
     for (std::size_t i = 0; i < goals.size(); ++i) {
       pool_.Submit([this, i, &prepared, &goals, &out, &done_mu, &done_cv, &remaining,
-                    &batch_deadline, cancel, prepared_from_cache] {
+                    &batch_deadline, cancel] {
         // A fired token drains still-queued queries without running them;
         // queries already inside a solver observe the same token at their
         // next check-point.
@@ -468,8 +480,7 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
           out.results[i].status = Status::Cancelled("batch cancelled before query started");
           RecordQueryMetrics(out.results[i]);
         } else {
-          out.results[i] = GuardedRunQuery(*prepared, goals[i], batch_deadline, cancel,
-                                           prepared_from_cache);
+          out.results[i] = GuardedRunQuery(*prepared, goals[i], batch_deadline, cancel);
         }
         MutexLock lock(&done_mu);
         if (--remaining == 0) done_cv.NotifyOne();
@@ -519,9 +530,6 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
     }
     if (r.stats.witness_cache_used) {
       r.stats.witness_cache_hit ? ++s.witness_cache_hits : ++s.witness_cache_misses;
-    }
-    if (r.stats.premise_cache_used) {
-      r.stats.premise_cache_hit ? ++s.premise_cache_hits : ++s.premise_cache_misses;
     }
     s.solver_decisions += r.stats.solver.decisions;
     s.solver_propagations += r.stats.solver.propagations;

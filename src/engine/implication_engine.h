@@ -31,6 +31,21 @@ struct EngineQueryResult {
   std::shared_ptr<const obs::TraceRecord> trace;
 };
 
+/// What the prepared-premises cache did for one `CheckBatch` call. The
+/// artifact is looked up once per batch, whatever the number of goals.
+enum class PremiseCacheEvent {
+  /// No lookup: the caller passed a prepared artifact, or
+  /// `EngineOptions::use_prepared_cache` is off.
+  kNotConsulted = 0,
+  /// The artifact came out of the process-wide cache.
+  kHit,
+  /// The cache had no artifact; this call compiled and inserted it.
+  kMiss,
+};
+
+/// Stable name of a `PremiseCacheEvent` ("none", "hit", "miss").
+const char* PremiseCacheEventName(PremiseCacheEvent e);
+
 /// Aggregate counters of one `CheckBatch` call.
 ///
 /// `implied + not_implied + degraded + failed == queries`; `cancelled` and
@@ -58,11 +73,11 @@ struct BatchStats {
   std::size_t by_interval_cover = 0;
   std::size_t by_sat = 0;
   std::size_t by_exhaustive = 0;
-  /// Shared-cache traffic from this batch.
+  /// Shared-cache traffic from this batch: witness-set lookups (one per
+  /// fast-path query) and the batch's one prepared-premises lookup.
   std::size_t witness_cache_hits = 0;
   std::size_t witness_cache_misses = 0;
-  std::size_t premise_cache_hits = 0;
-  std::size_t premise_cache_misses = 0;
+  PremiseCacheEvent premise_cache = PremiseCacheEvent::kNotConsulted;
   /// Summed DPLL counters.
   std::uint64_t solver_decisions = 0;
   std::uint64_t solver_propagations = 0;
@@ -167,27 +182,24 @@ class ImplicationEngine {
  private:
   /// One plan-and-execute pass over `prepared` under `stop` (may end
   /// early with its status). `tracer` (never null; disabled when tracing
-  /// is off) receives the per-phase spans; `prepared_from_cache` feeds the
-  /// premise-cache stat flags.
+  /// is off) receives the per-phase spans.
   EngineQueryResult RunQueryOnce(const PreparedPremises& prepared,
                                  const DifferentialConstraint& goal, StopCheck* stop,
-                                 const ProcedureBudgets& budgets, obs::Tracer* tracer,
-                                 bool prepared_from_cache);
+                                 const ProcedureBudgets& budgets, obs::Tracer* tracer);
   /// The exhaustion-policy loop around `RunQueryOnce`.
   EngineQueryResult RunQuery(const PreparedPremises& prepared,
                              const DifferentialConstraint& goal, const Deadline& batch_deadline,
-                             const CancelToken& cancel, bool prepared_from_cache);
-  /// `RunQuery` with exceptions converted to an Internal per-query status.
+                             const CancelToken& cancel);
+  /// `RunQuery` with exceptions converted to an Internal per-query status,
+  /// and a goal outside the artifact's universe rejected before planning.
   EngineQueryResult GuardedRunQuery(const PreparedPremises& prepared,
                                     const DifferentialConstraint& goal,
-                                    const Deadline& batch_deadline, const CancelToken& cancel,
-                                    bool prepared_from_cache);
+                                    const Deadline& batch_deadline, const CancelToken& cancel);
   /// Shared batch driver for the prepared and unprepared entry points;
   /// `batch_deadline` is the already-resolved wall-clock bound.
   Result<BatchOutcome> RunBatch(std::shared_ptr<const PreparedPremises> prepared,
                                 const std::vector<DifferentialConstraint>& goals,
-                                Deadline batch_deadline, CancelToken cancel,
-                                bool prepared_from_cache);
+                                Deadline batch_deadline, CancelToken cancel);
   /// The batch deadline implied by `EngineOptions::batch_deadline`.
   Deadline OptionsBatchDeadline() const;
 

@@ -52,9 +52,8 @@ Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
 
 Result<std::shared_ptr<const PreparedPremises>> PreparedPremises::Build(
     int n, const ConstraintSet& premises, const PrepareOptions& options) {
-  if (n < 0 || n > 64) {
-    return Status::InvalidArgument("universe size must be in [0, 64]");
-  }
+  Status valid = ValidateUniverse(n, premises);
+  if (!valid.ok()) return valid;
   static std::atomic<std::uint64_t> next_id{1};
 
   auto prepared = std::shared_ptr<PreparedPremises>(new PreparedPremises());

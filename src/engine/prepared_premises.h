@@ -92,7 +92,8 @@ struct PrepareStats {
 ///     families minimized (`SetFamily::Minimized`, which preserves the
 ///     witness structure `SomeMemberSubsetOf` and hence `L(C)` exactly),
 ///     then sorted and deduplicated;
-///   - the Proposition 5.4 premise CNF translation over the canonical set;
+///   - the Proposition 5.4 premise CNF translation over the canonical set,
+///     compiled once into the solver's flat literal arena;
 ///   - the FD-subclass closure index (`FdPremiseIndex`), when eligible;
 ///   - the per-stage build stats.
 ///
@@ -104,7 +105,8 @@ class PreparedPremises {
  public:
   /// Compiles `premises` over an `n`-attribute universe with default
   /// options (rewrite simplifier at level 2). Returns InvalidArgument for
-  /// `n` outside [0, 64]; never fails otherwise.
+  /// `n` outside [0, 64] or a premise with attributes outside the universe
+  /// (`ValidateUniverse`); never fails otherwise.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n,
                                                                const ConstraintSet& premises);
 
@@ -124,7 +126,8 @@ class PreparedPremises {
   /// The canonical constraint set (see class comment for the invariants).
   const ConstraintSet& constraints() const { return constraints_; }
 
-  /// The Proposition 5.4 premise clauses over the canonical set.
+  /// The Proposition 5.4 premise clauses over the canonical set, with
+  /// their solver compilation (`PremiseTranslation::compiled`).
   const PremiseTranslation& translation() const { return translation_; }
 
   /// The FD view of the canonical set (`eligible` false when some premise

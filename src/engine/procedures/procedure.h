@@ -52,9 +52,6 @@ struct ProcedureContext {
   StopCheck* stop = nullptr;
   obs::Tracer* tracer = nullptr;
   QueryStats* stats = nullptr;
-  /// True iff the prepared artifact came out of the process-wide
-  /// prepared-premises cache (for `QueryStats::premise_cache_hit`).
-  bool prepared_from_cache = false;
 };
 
 /// A first-class decision procedure: one strategy for deciding

@@ -29,8 +29,6 @@ class SatProcedure : public DecisionProcedureImpl {
   Result<ImplicationOutcome> Decide(const PreparedPremises& premises,
                                     const ProcedureQuery& query,
                                     ProcedureContext* ctx) const override {
-    ctx->stats->premise_cache_used = true;
-    ctx->stats->premise_cache_hit = ctx->prepared_from_cache;
     return CheckImplicationSatTranslated(query.n, premises.translation(), *query.goal,
                                          &ctx->stats->solver, ctx->budgets.max_decisions,
                                          ctx->stop);

@@ -1,6 +1,7 @@
 #include "prop/dpll.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 
 #include "obs/metrics.h"
@@ -51,10 +52,62 @@ class FlushStatsOnExit {
 
 }  // namespace
 
-void DpllSolver::AddWatchedClause(int clause_index) {
-  const std::vector<Lit>& c = clauses_[clause_index];
-  watches_[c[0]].push_back(clause_index);
-  if (c.size() > 1) watches_[c[1]].push_back(clause_index);
+Result<CompiledCnf> CompiledCnf::Compile(const Cnf& cnf) {
+  CompiledCnf out(cnf.num_vars);
+  for (const Clause& clause : cnf.clauses) {
+    Status s = out.AddClause(clause);
+    if (!s.ok()) return s;
+  }
+  return out;
+}
+
+void CompiledCnf::Reset(int num_vars) {
+  num_vars_ = num_vars;
+  lits_.clear();
+  ends_.clear();
+}
+
+Status CompiledCnf::AddClause(std::span<const Literal> clause) {
+  const std::size_t begin = lits_.size();
+  bool tautology = false;
+  for (Literal lit : clause) {
+    if (lit == 0 || std::abs(lit) > num_vars_) {
+      lits_.resize(begin);
+      return Status::InvalidArgument("literal out of range in CNF");
+    }
+    const int l = Encode(lit);
+    const auto first = lits_.begin() + static_cast<std::ptrdiff_t>(begin);
+    if (std::find(first, lits_.end(), l ^ 1) != lits_.end()) tautology = true;
+    if (std::find(first, lits_.end(), l) == lits_.end()) lits_.push_back(l);
+  }
+  if (tautology) {
+    lits_.resize(begin);
+  } else {
+    ends_.push_back(static_cast<std::uint32_t>(lits_.size()));
+  }
+  return Status::Ok();
+}
+
+void CompiledCnf::AddClauseUnchecked(std::span<const Literal> clause) {
+  [[maybe_unused]] const std::size_t begin = lits_.size();
+  for (Literal lit : clause) {
+    assert(lit != 0 && std::abs(lit) <= num_vars_);
+    const int l = Encode(lit);
+    assert(std::find(lits_.begin() + static_cast<std::ptrdiff_t>(begin), lits_.end(), l) ==
+               lits_.end() &&
+           std::find(lits_.begin() + static_cast<std::ptrdiff_t>(begin), lits_.end(), l ^ 1) ==
+               lits_.end());
+    lits_.push_back(l);
+  }
+  ends_.push_back(static_cast<std::uint32_t>(lits_.size()));
+}
+
+int DpllSolver::WatchLastClause() {
+  const int ci = static_cast<int>(clause_start_.size()) - 2;
+  const Lit* c = ClauseBegin(ci);
+  watches_[c[0]].push_back(ci);
+  if (ClauseSize(ci) > 1) watches_[c[1]].push_back(ci);
+  return ci;
 }
 
 void DpllSolver::Enqueue(Lit l, int reason) {
@@ -75,9 +128,10 @@ int DpllSolver::Propagate() {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < watch_list.size(); ++i) {
       const int ci = watch_list[i];
-      std::vector<Lit>& c = clauses_[ci];
+      Lit* c = ClauseBegin(ci);
+      const std::uint32_t size = ClauseSize(ci);
       // Normalize: watched literals are c[0] and c[1]; put false_lit at c[1].
-      if (c.size() == 1) {
+      if (size == 1) {
         // Unit clause re-propagated: conflict iff its literal is false.
         if (LitValue(c[0]) == kFalse) {
           for (std::size_t j = i; j < watch_list.size(); ++j) {
@@ -96,7 +150,7 @@ int DpllSolver::Propagate() {
       }
       // Look for a replacement watch.
       bool moved = false;
-      for (std::size_t k = 2; k < c.size(); ++k) {
+      for (std::uint32_t k = 2; k < size; ++k) {
         if (LitValue(c[k]) != kFalse) {
           std::swap(c[1], c[k]);
           watches_[c[1]].push_back(ci);
@@ -131,10 +185,9 @@ void DpllSolver::BumpVar(int var) {
 
 void DpllSolver::DecayActivities() { activity_increment_ /= 0.95; }
 
-int DpllSolver::Analyze(int conflict_clause, std::vector<Lit>& learned) {
-  learned.clear();
-  learned.push_back(0);  // Placeholder for the asserting (UIP) literal.
-  std::vector<bool> seen(num_vars_, false);
+int DpllSolver::Analyze(int conflict_clause) {
+  learned_.clear();
+  learned_.push_back(0);  // Placeholder for the asserting (UIP) literal.
   int counter = 0;  // Literals of the current level still to resolve.
   Lit p = -1;
   int clause = conflict_clause;
@@ -142,40 +195,43 @@ int DpllSolver::Analyze(int conflict_clause, std::vector<Lit>& learned) {
   const int current_level = static_cast<int>(trail_limits_.size());
 
   while (true) {
-    const std::vector<Lit>& c = clauses_[clause];
+    const Lit* c = ClauseBegin(clause);
+    const std::uint32_t size = ClauseSize(clause);
     // Skip c[0] when it is the literal we just resolved on.
-    for (std::size_t i = (p == -1 ? 0 : 1); i < c.size(); ++i) {
+    for (std::uint32_t i = (p == -1 ? 0 : 1); i < size; ++i) {
       const Lit q = c[i];
       const int v = VarOf(q);
-      if (seen[v] || level_[v] == 0) continue;
-      seen[v] = true;
+      if (seen_[v] || level_[v] == 0) continue;
+      seen_[v] = true;
       BumpVar(v);
       if (level_[v] == current_level) {
         ++counter;
       } else {
-        learned.push_back(q);
+        learned_.push_back(q);
       }
     }
     // Find the next current-level literal on the trail to resolve.
-    while (!seen[VarOf(trail_[trail_index - 1])]) --trail_index;
+    while (!seen_[VarOf(trail_[trail_index - 1])]) --trail_index;
     --trail_index;
     p = trail_[trail_index];
-    seen[VarOf(p)] = false;
+    seen_[VarOf(p)] = false;
     --counter;
     if (counter == 0) break;
     clause = reason_[VarOf(p)];
   }
-  learned[0] = Negate(p);  // The first UIP, asserted after backjumping.
+  learned_[0] = Negate(p);  // The first UIP, asserted after backjumping.
+  // Every current-level mark was cleared on resolution; clear the rest.
+  for (std::size_t i = 1; i < learned_.size(); ++i) seen_[VarOf(learned_[i])] = false;
 
   // Backjump level: the highest level among the other learned literals.
   int backjump = 0;
-  for (std::size_t i = 1; i < learned.size(); ++i) {
-    backjump = std::max(backjump, level_[VarOf(learned[i])]);
+  for (std::size_t i = 1; i < learned_.size(); ++i) {
+    backjump = std::max(backjump, level_[VarOf(learned_[i])]);
   }
-  // Watch invariant: learned[1] must be a highest-level literal.
-  for (std::size_t i = 2; i < learned.size(); ++i) {
-    if (level_[VarOf(learned[i])] > level_[VarOf(learned[1])]) {
-      std::swap(learned[1], learned[i]);
+  // Watch invariant: learned_[1] must be a highest-level literal.
+  for (std::size_t i = 2; i < learned_.size(); ++i) {
+    if (level_[VarOf(learned_[i])] > level_[VarOf(learned_[1])]) {
+      std::swap(learned_[1], learned_[i]);
     }
   }
   return backjump;
@@ -204,50 +260,58 @@ int DpllSolver::PickBranchVariable() const {
   return best;
 }
 
-Result<SatResult> DpllSolver::Solve(const Cnf& cnf) {
-  stats_ = SolverStats{};
-  FlushStatsOnExit flush(&stats_);
-  num_vars_ = cnf.num_vars;
-  clauses_.clear();
-  watches_.assign(2 * num_vars_, {});
-  assignment_.assign(num_vars_, kUnassigned);
-  saved_phase_.assign(num_vars_, true);  // Prefer false, like MiniSat.
-  level_.assign(num_vars_, 0);
-  reason_.assign(num_vars_, -1);
+void DpllSolver::Reset(int num_vars) {
+  num_vars_ = num_vars;
+  lits_.clear();
+  clause_start_.assign(1, 0);
+  const auto literals = static_cast<std::size_t>(2 * num_vars);
+  if (watches_.size() < literals) watches_.resize(literals);
+  for (std::size_t l = 0; l < literals; ++l) watches_[l].clear();
+  assignment_.assign(num_vars, kUnassigned);
+  saved_phase_.assign(num_vars, true);  // Prefer false, like MiniSat.
+  level_.assign(num_vars, 0);
+  reason_.assign(num_vars, -1);
+  seen_.assign(num_vars, false);
   trail_.clear();
   trail_limits_.clear();
   propagate_head_ = 0;
-  activity_.assign(num_vars_, 0.0);
+  activity_.assign(num_vars, 0.0);
   activity_increment_ = 1.0;
+}
 
-  // Load clauses: empty clause = UNSAT; duplicate literals merged;
-  // tautological clauses (p ∨ ¬p) dropped.
-  for (const Clause& input : cnf.clauses) {
-    if (input.empty()) return SatResult{};
-    std::vector<Lit> c;
-    c.reserve(input.size());
-    bool tautology = false;
-    for (Literal lit : input) {
-      if (lit == 0 || std::abs(lit) > num_vars_) {
-        return Status::InvalidArgument("literal out of range in CNF");
-      }
-      Lit l = Encode(lit);
-      if (std::find(c.begin(), c.end(), Negate(l)) != c.end()) tautology = true;
-      if (std::find(c.begin(), c.end(), l) == c.end()) c.push_back(l);
+bool DpllSolver::Load(const CompiledCnf& cnf) {
+  const auto offset = static_cast<std::uint32_t>(lits_.size());
+  lits_.insert(lits_.end(), cnf.lits_.begin(), cnf.lits_.end());
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : cnf.ends_) {
+    if (end == begin) return false;  // The empty clause.
+    clause_start_.push_back(offset + end);
+    const int ci = WatchLastClause();
+    // Top-level units propagate before the search starts.
+    if (end - begin == 1) {
+      const Lit unit = ClauseBegin(ci)[0];
+      if (LitValue(unit) == kFalse) return false;
+      if (LitValue(unit) == kUnassigned) Enqueue(unit, ci);
     }
-    if (tautology) continue;
-    clauses_.push_back(std::move(c));
-    AddWatchedClause(static_cast<int>(clauses_.size()) - 1);
-    // Top-level units propagate immediately below.
-    if (clauses_.back().size() == 1) {
-      const Lit unit = clauses_.back()[0];
-      if (LitValue(unit) == kFalse) return SatResult{};
-      if (LitValue(unit) == kUnassigned) {
-        Enqueue(unit, static_cast<int>(clauses_.size()) - 1);
-      }
-    }
+    begin = end;
   }
-  if (Propagate() != -1) return SatResult{};
+  return true;
+}
+
+Result<SatResult> DpllSolver::Solve(const Cnf& cnf) {
+  Result<CompiledCnf> compiled = CompiledCnf::Compile(cnf);
+  if (!compiled.ok()) return compiled.status();
+  return Solve(*compiled, CompiledCnf());
+}
+
+Result<SatResult> DpllSolver::Solve(const CompiledCnf& base, const CompiledCnf& overlay) {
+  stats_ = SolverStats{};
+  FlushStatsOnExit flush(&stats_);
+  if (overlay.num_vars() > base.num_vars()) {
+    return Status::InvalidArgument("CNF overlay has more variables than its base");
+  }
+  Reset(base.num_vars());
+  if (!Load(overlay) || !Load(base) || Propagate() != -1) return SatResult{};
 
   std::uint64_t conflicts_until_restart = 100;
   std::uint64_t conflicts_since_restart = 0;
@@ -264,12 +328,11 @@ Result<SatResult> DpllSolver::Solve(const Cnf& cnf) {
       ++stats_.conflicts;
       ++conflicts_since_restart;
       if (trail_limits_.empty()) return SatResult{};  // Conflict at level 0.
-      std::vector<Lit> learned;
-      const int backjump = Analyze(conflict, learned);
+      const int backjump = Analyze(conflict);
       Backtrack(backjump);
-      clauses_.push_back(learned);
-      AddWatchedClause(static_cast<int>(clauses_.size()) - 1);
-      Enqueue(learned[0], static_cast<int>(clauses_.size()) - 1);
+      lits_.insert(lits_.end(), learned_.begin(), learned_.end());
+      clause_start_.push_back(static_cast<std::uint32_t>(lits_.size()));
+      Enqueue(learned_[0], WatchLastClause());
       DecayActivities();
       continue;
     }

@@ -178,15 +178,22 @@ TEST(ImplicationEngineTest, PremiseTranslationSharedAcrossBatch) {
   EngineOptions opts;
   opts.use_interval_cover_fast_path = false;
   ImplicationEngine engine(opts);
-  // First batch warms the cache (its miss count can exceed 1 when several
-  // workers miss concurrently; both build the same translation).
-  ASSERT_TRUE(engine.CheckBatch(n, premises, goals).ok());
-  // The second batch must be all hits.
+  // One prepared-cache lookup per batch, however many SAT queries share
+  // the artifact: the first batch compiles it, the second finds it.
+  GlobalPreparedPremisesCache().Clear();
+  Result<BatchOutcome> first = engine.CheckBatch(n, premises, goals);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->stats.premise_cache, PremiseCacheEvent::kMiss);
   Result<BatchOutcome> out = engine.CheckBatch(n, premises, goals);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out->stats.by_sat, 0u);
-  EXPECT_EQ(out->stats.premise_cache_misses, 0u);
-  EXPECT_EQ(out->stats.premise_cache_hits, out->stats.by_sat);
+  EXPECT_EQ(out->stats.premise_cache, PremiseCacheEvent::kHit);
+  // With the cache off the engine compiles without a lookup.
+  opts.use_prepared_cache = false;
+  ImplicationEngine uncached(opts);
+  Result<BatchOutcome> direct = uncached.CheckBatch(n, premises, goals);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->stats.premise_cache, PremiseCacheEvent::kNotConsulted);
 }
 
 TEST(ImplicationEngineTest, FdSubclassBatchUsesFdProcedure) {
@@ -286,11 +293,11 @@ TEST(ImplicationEngineTest, PreparedBatchMatchesUnprepared) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(p.outcome.verdict, r.outcome.verdict) << "query=" << i;
     EXPECT_EQ(p.stats.procedure, r.stats.procedure) << "query=" << i;
-    // An explicitly prepared artifact counts as amortized compilation.
-    if (p.stats.premise_cache_used) {
-      EXPECT_TRUE(p.stats.premise_cache_hit);
-    }
   }
+  // An explicitly prepared artifact consults no cache; the unprepared call
+  // finds the artifact `Prepare` put there.
+  EXPECT_EQ(via_prepared->stats.premise_cache, PremiseCacheEvent::kNotConsulted);
+  EXPECT_EQ(via_raw->stats.premise_cache, PremiseCacheEvent::kHit);
   // CheckOne against the artifact agrees too.
   EngineQueryResult one = engine.CheckOne(*prepared, b.goals[0]);
   ASSERT_TRUE(one.status.ok());
@@ -305,6 +312,29 @@ TEST(ImplicationEngineTest, NullPreparedIsInvalidArgument) {
   EXPECT_EQ(engine.CheckOne(null_prepared, DifferentialConstraint(ItemSet(), SetFamily()))
                 .status.code(),
             StatusCode::kInvalidArgument);
+}
+
+// Goal attributes >= n are rejected before planning. Over n = 4, goal
+// {4} -> {{1}} used to reach SAT with the fast path off and come back
+// OK/Implied, as attribute 4 landed on an auxiliary variable.
+TEST(ImplicationEngineTest, GoalOutsideUniverseIsInvalidArgument) {
+  const int n = 4;
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}}))};
+  EngineOptions opts;
+  opts.use_interval_cover_fast_path = false;
+  ImplicationEngine engine(opts);
+  for (int bit : {4, 40}) {
+    const DifferentialConstraint goal(ItemSet{bit}, SetFamily({ItemSet{1}}));
+    EngineQueryResult one = engine.CheckOne(n, premises, goal);
+    EXPECT_EQ(one.status.code(), StatusCode::kInvalidArgument) << bit;
+    EXPECT_EQ(one.stats.procedure, DecisionProcedure::kNone) << bit;
+    EXPECT_TRUE(one.stats.plan.empty()) << bit;
+    Result<BatchOutcome> batch = engine.CheckBatch(n, premises, {goal});
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch->results[0].status.code(), StatusCode::kInvalidArgument) << bit;
+    EXPECT_EQ(batch->stats.failed, 1u) << bit;
+  }
 }
 
 TEST(ImplicationEngineTest, PlanIsRecordedInQueryStats) {
@@ -364,7 +394,10 @@ TEST(ImplicationEngineTest, BatchStatsToStringMentionsCaches) {
   ASSERT_TRUE(out.ok());
   std::string s = out->stats.ToString();
   EXPECT_NE(s.find("witness_cache"), std::string::npos);
-  EXPECT_NE(s.find("premise_cache"), std::string::npos);
+  const std::string premise =
+      std::string("premise_cache=") + PremiseCacheEventName(out->stats.premise_cache);
+  EXPECT_NE(s.find(premise), std::string::npos) << s;
+  EXPECT_NE(out->stats.premise_cache, PremiseCacheEvent::kNotConsulted);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/closure.h"
 #include "core/counterexample.h"
 #include "core/function_ops.h"
 #include "core/implication.h"
 #include "core/parser.h"
 #include "prop/tautology.h"
+#include "util/deadline.h"
 #include "test_helpers.h"
 
 namespace diffc {
@@ -110,6 +114,182 @@ TEST_P(SatVsExhaustive, Agree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatVsExhaustive, ::testing::Range(1, 13));
+
+// ------------------------------------------------ translation and universe
+
+// The Proposition 5.4 premise clauses repeat no variable, so the arena
+// `TranslatePremises` emits in its single pass is exactly the checked
+// compilation of its readable clauses: nothing to merge, nothing dropped.
+TEST(TranslationTest, CompiledArenaIsTheCheckedCompilation) {
+  Rng rng(404);
+  for (int iter = 0; iter < 100; ++iter) {
+    const int n = std::vector<int>{1, 4, 8, 16, 32, 64}[iter % 6];
+    ConstraintSet premises;
+    const int count = static_cast<int>(rng.UniformInt(0, 20));
+    for (int i = 0; i < count; ++i) {
+      premises.push_back(testing::RandomConstraint(
+          rng, n, 0.3, static_cast<int>(rng.UniformInt(0, 4)), 0.2));
+    }
+    PremiseTranslation t = TranslatePremises(n, premises);
+    ASSERT_TRUE(t.in_universe);
+    EXPECT_EQ(t.n, n);
+    prop::Cnf cnf;
+    cnf.num_vars = t.num_vars;
+    cnf.clauses = t.clauses;
+    Result<prop::CompiledCnf> checked = prop::CompiledCnf::Compile(cnf);
+    ASSERT_TRUE(checked.ok()) << iter;
+    EXPECT_EQ(t.compiled, *checked) << iter;
+    EXPECT_EQ(t.compiled.num_clauses(), t.clauses.size()) << iter;
+  }
+}
+
+// An attribute a >= n used to land on the Proposition 5.4 auxiliary
+// variable a + 1: over n = 4 the SAT checker answered this goal Implied
+// while the exhaustive checker answered NotImplied. Both now reject it.
+TEST(UniverseTest, SetsOutsideTheUniverseAreRejected) {
+  const int n = 4;
+  const ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1}, ItemSet{2}}))};
+  for (int bit : {4, 40}) {
+    const DifferentialConstraint goal(ItemSet{bit}, SetFamily({ItemSet{1}}));
+    const DifferentialConstraint premise(ItemSet{bit}, SetFamily({ItemSet{1}}));
+    const ConstraintSet outside{premise};
+    const DifferentialConstraint inside(ItemSet{0}, SetFamily({ItemSet{1}}));
+    for (const Result<ImplicationOutcome>& r :
+         {CheckImplicationSat(n, premises, goal), CheckImplicationExhaustive(n, premises, goal),
+          CheckImplication(n, premises, goal), CheckImplicationSat(n, outside, inside),
+          CheckImplicationExhaustive(n, outside, inside),
+          CheckImplicationSatTranslated(n, TranslatePremises(n, premises), goal),
+          CheckImplicationSatTranslated(n, TranslatePremises(n, outside), inside)}) {
+      ASSERT_FALSE(r.ok()) << bit;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bit;
+    }
+    EXPECT_FALSE(TranslatePremises(n, outside).in_universe);
+    EXPECT_TRUE(TranslatePremises(n, outside).clauses.empty());
+  }
+  // A translation used with another universe size is rejected as well.
+  const DifferentialConstraint inside(ItemSet{0}, SetFamily({ItemSet{3}}));
+  EXPECT_FALSE(CheckImplicationSatTranslated(5, TranslatePremises(n, premises), inside).ok());
+  EXPECT_FALSE(ValidateUniverse(65, {}).ok());
+  EXPECT_TRUE(ValidateUniverse(64, premises).ok());
+}
+
+// --------------------------------------------------- solver reuse (oracle)
+
+// One premise set and its translation, shared read-only by every thread.
+struct ReuseSide {
+  int n = 0;
+  ConstraintSet premises;
+  PremiseTranslation translation;
+};
+
+std::vector<ReuseSide> MakeReuseSides() {
+  Rng rng(2024);
+  std::vector<ReuseSide> sides(2);
+  sides[0].n = 8;
+  sides[1].n = 20;
+  for (ReuseSide& s : sides) {
+    s.premises = testing::RandomConstraintSet(rng, s.n, s.n == 8 ? 6 : 14);
+    s.translation = TranslatePremises(s.n, s.premises);
+  }
+  return sides;
+}
+
+// A goal against `side`: random on even draws, otherwise a premise with a
+// widened left-hand side (implied by augmentation).
+DifferentialConstraint ReuseGoal(Rng& rng, const ReuseSide& side) {
+  if (rng.Bernoulli(0.5)) return testing::RandomConstraint(rng, side.n, 0.35, 2, 0.2);
+  const DifferentialConstraint& p =
+      side.premises[rng.UniformInt(0, static_cast<std::int64_t>(side.premises.size()) - 1)];
+  return DifferentialConstraint(p.lhs().Union(ItemSet(rng.RandomMask(side.n, 0.35))), p.rhs());
+}
+
+// Checks an OK SAT answer against Theorem 3.5 by enumeration and its
+// counterexample against the f_U witness test.
+void ExpectOracleAgrees(const ReuseSide& side, const DifferentialConstraint& goal,
+                        const ImplicationOutcome& got) {
+  Result<ImplicationOutcome> want = CheckImplicationExhaustive(side.n, side.premises, goal);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(got.implied, want->implied);
+  if (!got.implied) {
+    ASSERT_TRUE(got.counterexample.has_value());
+    EXPECT_TRUE(IsValidCounterexample(side.n, side.premises, goal, *got.counterexample));
+  }
+}
+
+struct ReuseCounts {
+  int checked = 0;
+  int implied = 0;
+  int exhausted = 0;
+  int cancelled = 0;
+};
+
+// Interleaves, on the calling thread's solver, queries against the n=8 and
+// n=20 translations with a call stopped by a zero decision budget and one
+// stopped by a fired cancel token, so every answer follows a call of
+// another size or one abandoned mid-search.
+ReuseCounts RunReuseRounds(const std::vector<ReuseSide>& sides, std::uint64_t seed) {
+  Rng rng(seed);
+  CancelToken fired;
+  fired.Cancel();
+  ReuseCounts counts;
+  for (int round = 0; round < 40; ++round) {
+    for (std::size_t k = 0; k < sides.size(); ++k) {
+      const ReuseSide& side = sides[k];
+      const ReuseSide& other = sides[1 - k];
+      const DifferentialConstraint goal = ReuseGoal(rng, side);
+      Result<ImplicationOutcome> r = CheckImplicationSatTranslated(side.n, side.translation, goal);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) {
+        ExpectOracleAgrees(side, goal, *r);
+        ++counts.checked;
+        if (r->implied) ++counts.implied;
+      }
+      // Stop the other side's next query mid-search.
+      const DifferentialConstraint stopped = ReuseGoal(rng, other);
+      StopCheck stop(Deadline::Never(), fired, 1);
+      Result<ImplicationOutcome> s =
+          k == 0 ? CheckImplicationSatTranslated(other.n, other.translation, stopped, nullptr,
+                                                 /*max_decisions=*/0)
+                 : CheckImplicationSatTranslated(other.n, other.translation, stopped, nullptr,
+                                                 50'000'000, &stop);
+      if (s.ok()) {
+        ExpectOracleAgrees(other, stopped, *s);  // Settled before any search step.
+      } else if (s.status().code() == StatusCode::kResourceExhausted) {
+        ++counts.exhausted;
+      } else {
+        EXPECT_EQ(s.status().code(), StatusCode::kCancelled);
+        ++counts.cancelled;
+      }
+    }
+  }
+  return counts;
+}
+
+TEST(SolverReuseTest, InterleavedSizesAndAbortedCallsMatchOracle) {
+  const std::vector<ReuseSide> sides = MakeReuseSides();
+  const ReuseCounts counts = RunReuseRounds(sides, 1);
+  EXPECT_EQ(counts.checked, 80);
+  EXPECT_GT(counts.implied, 0);
+  EXPECT_LT(counts.implied, counts.checked);
+  EXPECT_GT(counts.exhausted, 0);
+  EXPECT_GT(counts.cancelled, 0);
+}
+
+TEST(SolverReuseTest, FourThreadsShareTranslationsNotSolvers) {
+  const std::vector<ReuseSide> sides = MakeReuseSides();
+  std::vector<ReuseCounts> counts(4);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < counts.size(); ++t) {
+      threads.emplace_back([&sides, &counts, t] { counts[t] = RunReuseRounds(sides, 10 + t); });
+    }
+  }
+  for (const ReuseCounts& c : counts) {
+    EXPECT_EQ(c.checked, 80);
+    EXPECT_GT(c.exhausted + c.cancelled, 0);
+  }
+}
 
 // --------------------------------------------------- semantic ground truth
 

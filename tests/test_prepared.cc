@@ -93,6 +93,7 @@ TEST(PreparedPremisesTest, TranslationMatchesDirectTranslation) {
   PremiseTranslation direct = TranslatePremises(n, (*built)->constraints());
   EXPECT_EQ((*built)->translation().num_vars, direct.num_vars);
   EXPECT_EQ((*built)->translation().clauses, direct.clauses);
+  EXPECT_EQ((*built)->translation().compiled, direct.compiled);
   EXPECT_EQ((*built)->stats().translation_vars, direct.num_vars);
   EXPECT_EQ((*built)->stats().translation_clauses, direct.clauses.size());
 }
@@ -165,6 +166,12 @@ TEST(PreparedPremisesTest, IdsAreProcessUnique) {
 TEST(PreparedPremisesTest, InvalidUniverseSizeFails) {
   EXPECT_EQ(PreparedPremises::Build(-1, {}).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(PreparedPremises::Build(65, {}).status().code(), StatusCode::kInvalidArgument);
+  // A premise mentioning attribute 4 (or 40) of a 4-attribute universe.
+  for (int bit : {4, 40}) {
+    const ConstraintSet outside{DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{bit}}))};
+    EXPECT_EQ(PreparedPremises::Build(4, outside).status().code(),
+              StatusCode::kInvalidArgument);
+  }
   Result<std::shared_ptr<const PreparedPremises>> empty = PreparedPremises::Build(0, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE((*empty)->constraints().empty());

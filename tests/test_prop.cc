@@ -271,6 +271,128 @@ TEST(DpllTest, PigeonholeSatWhenEnoughHoles) {
   EXPECT_TRUE(cnf.IsSatisfiedBy(r->model));
 }
 
+// ------------------------------------------------------------ compiled CNF
+
+TEST(CompiledCnfTest, CompileMergesDuplicatesAndDropsTautologies) {
+  Cnf cnf;
+  cnf.num_vars = 2;
+  cnf.AddClause({1, 1, 2});  // Kept as (1 ∨ 2).
+  cnf.AddClause({1, -1});    // Tautology: dropped.
+  cnf.AddClause({});         // Kept as the empty clause.
+  cnf.AddClause({-2});
+  Result<prop::CompiledCnf> compiled = prop::CompiledCnf::Compile(cnf);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(compiled->num_vars(), 2);
+  EXPECT_EQ(compiled->num_clauses(), 3u);
+  EXPECT_EQ(compiled->num_literals(), 3u);
+}
+
+TEST(CompiledCnfTest, RejectedClauseAppendsNothing) {
+  prop::CompiledCnf compiled(2);
+  ASSERT_TRUE(compiled.AddClause(std::vector<prop::Literal>{1, -2}).ok());
+  EXPECT_FALSE(compiled.AddClause(std::vector<prop::Literal>{1, 3}).ok());
+  EXPECT_FALSE(compiled.AddClause(std::vector<prop::Literal>{0}).ok());
+  EXPECT_EQ(compiled.num_clauses(), 1u);
+  EXPECT_EQ(compiled.num_literals(), 2u);
+  compiled.Reset(1);
+  EXPECT_EQ(compiled, prop::CompiledCnf(1));
+}
+
+// A random CNF over `n` variables with `clauses` clauses of width 1-3.
+Cnf RandomCnf(Rng& rng, int n, int clauses) {
+  Cnf cnf;
+  cnf.num_vars = n;
+  for (int c = 0; c < clauses; ++c) {
+    prop::Clause clause;
+    const int width = static_cast<int>(rng.UniformInt(1, 3));
+    for (int l = 0; l < width; ++l) {
+      const int var = static_cast<int>(rng.UniformInt(0, n - 1));
+      clause.push_back(rng.Bernoulli(0.5) ? var + 1 : -(var + 1));
+    }
+    cnf.AddClause(std::move(clause));
+  }
+  return cnf;
+}
+
+// Solving `overlay ∧ base` on compiled halves is the same search as solving
+// the concatenated CNF: same verdict, same counters, the same model.
+TEST(DpllTest, OverlayMatchesConcatenatedCnf) {
+  Rng rng(77);
+  DpllSolver reused;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    Cnf whole = RandomCnf(rng, n, static_cast<int>(rng.UniformInt(n, 5 * n)));
+    const auto split = static_cast<std::size_t>(rng.UniformInt(0, 3));
+    Cnf front;
+    front.num_vars = n;
+    Cnf back;
+    back.num_vars = n;
+    for (std::size_t c = 0; c < whole.clauses.size(); ++c) {
+      (c < split ? front : back).AddClause(whole.clauses[c]);
+    }
+    Result<prop::CompiledCnf> overlay = prop::CompiledCnf::Compile(front);
+    Result<prop::CompiledCnf> base = prop::CompiledCnf::Compile(back);
+    ASSERT_TRUE(overlay.ok() && base.ok());
+
+    DpllSolver fresh;
+    Result<prop::SatResult> want = fresh.Solve(whole);
+    Result<prop::SatResult> got = reused.Solve(*base, *overlay);
+    ASSERT_TRUE(want.ok() && got.ok()) << iter;
+    EXPECT_EQ(got->satisfiable, want->satisfiable) << iter;
+    EXPECT_EQ(reused.stats().decisions, fresh.stats().decisions) << iter;
+    EXPECT_EQ(reused.stats().propagations, fresh.stats().propagations) << iter;
+    EXPECT_EQ(reused.stats().conflicts, fresh.stats().conflicts) << iter;
+    EXPECT_EQ(got->model, want->model) << iter;
+    if (got->satisfiable) {
+      EXPECT_TRUE(whole.IsSatisfiedBy(got->model)) << iter;
+    }
+  }
+}
+
+TEST(DpllTest, OverlayWiderThanBaseIsInvalid) {
+  prop::CompiledCnf base(2);
+  prop::CompiledCnf overlay(3);
+  ASSERT_TRUE(overlay.AddClause(std::vector<prop::Literal>{3}).ok());
+  Result<prop::SatResult> r = DpllSolver().Solve(base, overlay);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// One solver reused across instances of different sizes, including a call
+// that stops on its decision budget mid-search, answers every later call
+// exactly as a fresh solver does: nothing leaks from one Solve to the next.
+TEST(DpllTest, ReusedSolverMatchesFreshSolver) {
+  Rng rng(78);
+  DpllSolver reused;
+  for (int iter = 0; iter < 60; ++iter) {
+    Cnf cnf;
+    std::uint64_t budget = 50'000'000;
+    if (iter % 10 == 3) {
+      cnf = Pigeonhole(6, 5);
+      budget = 3;  // Stops mid-search with learned clauses in the arena.
+    } else if (iter % 10 == 7) {
+      cnf = Pigeonhole(5, 4);
+    } else {
+      const int n = static_cast<int>(rng.UniformInt(1, 12));
+      cnf = RandomCnf(rng, n, static_cast<int>(rng.UniformInt(n, 5 * n)));
+    }
+    reused.set_max_decisions(budget);
+    DpllSolver fresh(budget);
+    Result<prop::SatResult> want = fresh.Solve(cnf);
+    Result<prop::SatResult> got = reused.Solve(cnf);
+    ASSERT_EQ(got.ok(), want.ok()) << iter;
+    EXPECT_EQ(reused.stats().decisions, fresh.stats().decisions) << iter;
+    EXPECT_EQ(reused.stats().propagations, fresh.stats().propagations) << iter;
+    EXPECT_EQ(reused.stats().conflicts, fresh.stats().conflicts) << iter;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted) << iter;
+      continue;
+    }
+    EXPECT_EQ(got->satisfiable, want->satisfiable) << iter;
+    EXPECT_EQ(got->model, want->model) << iter;
+  }
+}
+
 // Property: DPLL agrees with exhaustive evaluation on random CNFs of up to
 // 12 variables across the phase transition (n to 5n clauses).
 class DpllProperty : public ::testing::TestWithParam<int> {};
