@@ -65,53 +65,91 @@ double MeasureMs(const std::function<void()>& fn, int reps) {
   return std::chrono::duration<double, std::milli>(end - start).count() / reps;
 }
 
+// Median and quartiles of a row's per-pass times.
+struct Spread {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+Spread Quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&](double p) {
+    const double idx = p * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(idx);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (idx - static_cast<double>(lo));
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
+std::string FormatSpread(const Spread& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f [%.3f, %.3f]", s.median, s.q1, s.q3);
+  return buf;
+}
+
+// Passes per E1/E1b row. Each pass times all 20 queries once; one untimed
+// pass per decider warms its buffers first.
+constexpr int kScalingPasses = 31;
+
 void PrintScalingTable() {
-  std::printf("=== E1: implication deciders vs universe size (|C|=6, 20 queries) ===\n");
-  std::printf("%6s %16s %16s %10s\n", "n", "exhaustive(ms)", "sat(ms)", "agree");
+  std::printf("=== E1: implication deciders vs universe size (|C|=6, 20 queries; ms per pass, "
+              "median [q1, q3] of %d interleaved passes) ===\n",
+              kScalingPasses);
+  std::printf("%6s %26s %26s %10s\n", "n", "exhaustive(ms)", "sat(ms)", "agree");
   for (int n : {8, 12, 16, 20, 24}) {
     Rng rng(n * 131);
     ConstraintSet premises = RandomSet(rng, n, 6);
     std::vector<DifferentialConstraint> goals;
     for (int i = 0; i < 20; ++i) goals.push_back(RandomConstraint(rng, n, 2));
 
+    auto exhaustive = [&] {
+      for (const DifferentialConstraint& g : goals) {
+        (void)CheckImplicationExhaustive(n, premises, g);
+      }
+    };
+    auto sat = [&] {
+      for (const DifferentialConstraint& g : goals) (void)CheckImplicationSat(n, premises, g);
+    };
+    exhaustive();
+    sat();
+    // Interleaved, and the order flips every pass, so host drift lands on
+    // both deciders alike.
+    std::vector<double> ex_ms, sat_ms;
+    for (int pass = 0; pass < kScalingPasses; ++pass) {
+      if (pass % 2 == 0) {
+        ex_ms.push_back(MeasureMs(exhaustive, 1));
+        sat_ms.push_back(MeasureMs(sat, 1));
+      } else {
+        sat_ms.push_back(MeasureMs(sat, 1));
+        ex_ms.push_back(MeasureMs(exhaustive, 1));
+      }
+    }
     bool all_agree = true;
-    double ex_ms = MeasureMs(
-        [&] {
-          for (const DifferentialConstraint& g : goals) {
-            (void)CheckImplicationExhaustive(n, premises, g);
-          }
-        },
-        1);
-    double sat_ms = MeasureMs(
-        [&] {
-          for (const DifferentialConstraint& g : goals) {
-            (void)CheckImplicationSat(n, premises, g);
-          }
-        },
-        1);
     for (const DifferentialConstraint& g : goals) {
       Result<ImplicationOutcome> a = CheckImplicationExhaustive(n, premises, g);
       Result<ImplicationOutcome> b = CheckImplicationSat(n, premises, g);
       if (!a.ok() || !b.ok() || a->implied != b->implied) all_agree = false;
     }
-    std::printf("%6d %16.3f %16.3f %10s\n", n, ex_ms, sat_ms, all_agree ? "yes" : "NO");
+    std::printf("%6d %26s %26s %10s\n", n, FormatSpread(Quartiles(ex_ms)).c_str(),
+                FormatSpread(Quartiles(sat_ms)).c_str(), all_agree ? "yes" : "NO");
   }
-  std::printf("\n=== E1b: SAT decider vs |C| (n=32) ===\n");
-  std::printf("%6s %16s\n", "|C|", "sat(ms)");
+  std::printf("\n=== E1b: SAT decider vs |C| (n=32, 20 queries; ms per pass, median [q1, q3] of "
+              "%d passes) ===\n",
+              kScalingPasses);
+  std::printf("%6s %26s\n", "|C|", "sat(ms)");
   for (int count : {2, 8, 32, 128}) {
     Rng rng(count * 17 + 3);
     const int n = 32;
     ConstraintSet premises = RandomSet(rng, n, count);
     std::vector<DifferentialConstraint> goals;
     for (int i = 0; i < 20; ++i) goals.push_back(RandomConstraint(rng, n, 2));
-    double sat_ms = MeasureMs(
-        [&] {
-          for (const DifferentialConstraint& g : goals) {
-            (void)CheckImplicationSat(n, premises, g);
-          }
-        },
-        1);
-    std::printf("%6d %16.3f\n", count, sat_ms);
+    auto sat = [&] {
+      for (const DifferentialConstraint& g : goals) (void)CheckImplicationSat(n, premises, g);
+    };
+    sat();
+    std::vector<double> sat_ms;
+    for (int pass = 0; pass < kScalingPasses; ++pass) sat_ms.push_back(MeasureMs(sat, 1));
+    std::printf("%6d %26s\n", count, FormatSpread(Quartiles(sat_ms)).c_str());
   }
   std::printf("\n");
 }
@@ -193,9 +231,9 @@ void PrintBatchEngineTable() {
     }
   }
 
-  std::printf("%22s %12s %10s %10s\n", "", "batch(ms)", "speedup", "agree");
-  std::printf("%22s %12.3f %10s %10s\n", "sequential loop", seq_ms, "1.00x", "-");
-  std::printf("%22s %12.3f %9.2fx %10s\n", "engine (4 workers)", engine_ms,
+  std::printf("%26s %12s %10s %10s\n", "", "batch(ms)", "speedup", "agree");
+  std::printf("%26s %12.3f %10s %10s\n", "sequential loop", seq_ms, "1.00x", "-");
+  std::printf("%26s %12.3f %9.2fx %10s\n", "engine (caller+4 workers)", engine_ms,
               engine_ms > 0 ? seq_ms / engine_ms : 0.0, all_agree ? "yes" : "NO");
   if (batch.ok()) std::printf("engine stats: %s\n", batch->stats.ToString().c_str());
 
@@ -266,6 +304,7 @@ void PrintBatchEngineTable() {
   json << "  \"verdicts_agree\": " << (all_agree ? "true" : "false") << ",\n";
   if (batch.ok()) {
     const BatchStats& s = batch->stats;
+    json << "  \"helpers\": " << s.helpers << ",\n";
     json << "  \"procedure_mix\": {\"trivial\": " << s.by_trivial
          << ", \"fd\": " << s.by_fd << ", \"interval_cover\": " << s.by_interval_cover
          << ", \"sat\": " << s.by_sat << ", \"exhaustive\": " << s.by_exhaustive

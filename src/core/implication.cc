@@ -1,5 +1,6 @@
 #include "core/implication.h"
 
+#include <span>
 #include <string>
 
 #include "lattice/decomposition.h"
@@ -64,17 +65,19 @@ Result<ImplicationOutcome> CheckImplicationExhaustive(int n, const ConstraintSet
   return out;
 }
 
-PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
-  PremiseTranslation out;
-  out.n = n;
-  out.num_vars = n;
-  if (!ValidateUniverse(n, premises).ok()) {
-    out.in_universe = false;
-    return out;
-  }
+namespace {
+
+// Emits the Proposition 5.4 premise clauses over `n` attributes, one
+// `EmitImplicationConstraintClauses` block per premise with auxiliaries
+// numbered consecutively across blocks, into `compiled` (reset first) and,
+// when `readable` is non-null, appends each one to it as well. Returns the
+// variable count. The caller has validated the universe.
+int CompilePremises(int n, const ConstraintSet& premises, prop::CompiledCnf* compiled,
+                    std::vector<prop::Clause>* readable) {
   // Sizes first, so every buffer is allocated once: per premise, one
   // auxiliary and one definition clause per member attribute, and the main
   // clause over the left-hand side and the auxiliaries.
+  int num_vars = n;
   std::size_t clauses = 0;
   std::size_t literals = 0;
   for (const DifferentialConstraint& p : premises) {
@@ -82,44 +85,31 @@ PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
     for (const ItemSet& member : p.rhs().members()) {
       member_items += static_cast<std::size_t>(member.size());
     }
-    out.num_vars += p.rhs().size();
+    num_vars += p.rhs().size();
     clauses += member_items + 1;
     literals += 2 * member_items + static_cast<std::size_t>(p.lhs().size() + p.rhs().size());
   }
-  out.clauses.reserve(clauses);
-  out.compiled.Reset(out.num_vars);
-  out.compiled.Reserve(clauses, literals);
-  // Each premise must not witness U: X' ⊄ U, or some member of Y' ⊆ U —
-  // one clause block per premise (`TranslateImplicationConstraint`), with
-  // auxiliary variables numbered consecutively across blocks.
+  compiled->Reset(num_vars);
+  compiled->Reserve(clauses, literals);
+  if (readable != nullptr) readable->reserve(readable->size() + clauses);
+  prop::Clause main_clause;
   int next_aux = n + 1;
   for (const DifferentialConstraint& p : premises) {
-    prop::ConstraintClauseBlock block =
-        prop::TranslateImplicationConstraint(p.lhs(), p.rhs(), next_aux);
-    next_aux += block.aux_vars;
-    for (prop::Clause& clause : block.clauses) {
-      out.compiled.AddClauseUnchecked(clause);
-      out.clauses.push_back(std::move(clause));
-    }
+    next_aux += prop::EmitImplicationConstraintClauses(
+        p.lhs(), p.rhs(), next_aux, &main_clause, [&](std::span<const prop::Literal> clause) {
+          compiled->AddClauseUnchecked(clause);
+          if (readable != nullptr) readable->emplace_back(clause.begin(), clause.end());
+        });
   }
-  return out;
+  return num_vars;
 }
 
-Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
-                                               const DifferentialConstraint& goal,
-                                               prop::SolverStats* stats) {
-  Status valid = ValidateUniverse(n, premises, &goal);
-  if (!valid.ok()) return valid;
-  return CheckImplicationSatTranslated(n, TranslatePremises(n, premises), goal, stats);
-}
-
-namespace {
-
-// The calling thread's solver and goal overlay. Their buffers keep their
-// capacity from one query to the next, so a warm query allocates only its
-// answer.
+// The calling thread's solver, goal overlay and (for the uncached entry
+// point) premise arena. Their buffers keep their capacity from one query
+// to the next, so a warm query allocates only its answer.
 struct SatScratch {
   prop::DpllSolver solver;
+  prop::CompiledCnf premises;
   prop::CompiledCnf goal;
   prop::Clause member;
 };
@@ -129,23 +119,19 @@ SatScratch& ThreadSatScratch() {
   return scratch;
 }
 
-}  // namespace
-
-Result<ImplicationOutcome> CheckImplicationSatTranslated(
-    int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
-    prop::SolverStats* stats, std::uint64_t max_decisions, StopCheck* stop) {
+// Solves the goal as an overlay on the compiled premise arena `base` over
+// `num_vars` variables (the first `n` of them attributes). `base` may be
+// the scratch's own premise arena.
+Result<ImplicationOutcome> SolveGoalOverlay(int n, int num_vars, const prop::CompiledCnf& base,
+                                            const DifferentialConstraint& goal,
+                                            prop::SolverStats* stats, std::uint64_t max_decisions,
+                                            StopCheck* stop) {
   if (DIFFC_FAILPOINT("cnf/translate")) {
     return Status::Internal("failpoint cnf/translate: CNF translation failed");
   }
-  if (!translation.in_universe || translation.n != n) {
-    return Status::InvalidArgument("premise translation is not over the " + std::to_string(n) +
-                                   "-attribute universe");
-  }
-  Status valid = ValidateUniverse(n, {}, &goal);
-  if (!valid.ok()) return valid;
   SatScratch& scratch = ThreadSatScratch();
   prop::CompiledCnf& overlay = scratch.goal;
-  overlay.Reset(translation.num_vars);
+  overlay.Reset(num_vars);
   // U must contain the goal's left-hand side...
   ForEachBit(goal.lhs().bits(), [&](int a) {
     const prop::Literal u = a + 1;
@@ -162,7 +148,7 @@ Result<ImplicationOutcome> CheckImplicationSatTranslated(
   prop::DpllSolver& solver = scratch.solver;
   solver.set_max_decisions(max_decisions);
   solver.set_stop(stop);
-  Result<prop::SatResult> sat = solver.Solve(translation.compiled, overlay);
+  Result<prop::SatResult> sat = solver.Solve(base, overlay);
   solver.set_stop(nullptr);
   if (stats != nullptr) *stats = solver.stats();
   if (!sat.ok()) return sat.status();
@@ -178,6 +164,46 @@ Result<ImplicationOutcome> CheckImplicationSatTranslated(
     out.SetImplied();
   }
   return out;
+}
+
+}  // namespace
+
+PremiseTranslation TranslatePremises(int n, const ConstraintSet& premises) {
+  PremiseTranslation out;
+  out.n = n;
+  out.num_vars = n;
+  if (!ValidateUniverse(n, premises).ok()) {
+    out.in_universe = false;
+    return out;
+  }
+  out.num_vars = CompilePremises(n, premises, &out.compiled, &out.clauses);
+  return out;
+}
+
+Result<ImplicationOutcome> CheckImplicationSat(int n, const ConstraintSet& premises,
+                                               const DifferentialConstraint& goal,
+                                               prop::SolverStats* stats) {
+  Status valid = ValidateUniverse(n, premises, &goal);
+  if (!valid.ok()) return valid;
+  // Only the solver's arena: the readable clauses of `TranslatePremises`
+  // would be built for nothing here. Same budget as the translated entry
+  // point's default.
+  prop::CompiledCnf& base = ThreadSatScratch().premises;
+  const int num_vars = CompilePremises(n, premises, &base, nullptr);
+  return SolveGoalOverlay(n, num_vars, base, goal, stats, 50'000'000, nullptr);
+}
+
+Result<ImplicationOutcome> CheckImplicationSatTranslated(
+    int n, const PremiseTranslation& translation, const DifferentialConstraint& goal,
+    prop::SolverStats* stats, std::uint64_t max_decisions, StopCheck* stop) {
+  if (!translation.in_universe || translation.n != n) {
+    return Status::InvalidArgument("premise translation is not over the " + std::to_string(n) +
+                                   "-attribute universe");
+  }
+  Status valid = ValidateUniverse(n, {}, &goal);
+  if (!valid.ok()) return valid;
+  return SolveGoalOverlay(n, translation.num_vars, translation.compiled, goal, stats,
+                          max_decisions, stop);
 }
 
 bool FdSubclassApplicable(const ConstraintSet& premises, const DifferentialConstraint& goal) {

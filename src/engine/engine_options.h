@@ -42,7 +42,8 @@ const char* ExhaustionPolicyName(ExhaustionPolicy p);
 
 /// Tuning knobs of the batched implication engine.
 struct EngineOptions {
-  /// Worker threads for `CheckBatch` (clamped to at least 1).
+  /// Pool workers that may join a batch; the calling thread runs goals
+  /// too (clamped to at least 1).
   int num_threads = 4;
   /// Serve `Prepare()` (and the unprepared `CheckBatch` / `CheckOne`
   /// entry points, which prepare on the caller's behalf) from the

@@ -1,5 +1,7 @@
 #include "engine/implication_engine.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -223,6 +225,7 @@ std::string BatchStats::ToString() const {
   s += " | decisions=" + std::to_string(solver_decisions);
   s += " conflicts=" + std::to_string(solver_conflicts);
   s += " batch_ms=" + std::to_string(batch_wall_ns / 1000000.0);
+  s += " helpers=" + std::to_string(helpers);
   return s;
 }
 
@@ -380,8 +383,9 @@ EngineQueryResult ImplicationEngine::GuardedRunQuery(const PreparedPremises& pre
     return r;
   }
   // A decision procedure that throws must fail its own query, not the
-  // process: the pool's loop-level catch would keep the worker alive but
-  // lose the error.
+  // process: on a helper the pool's loop-level catch would keep the worker
+  // alive but lose the error, and on the calling thread it would leave
+  // the batch mid-run.
   try {
     r = RunQuery(prepared, goal, batch_deadline, cancel);
   } catch (const std::exception& e) {
@@ -455,6 +459,67 @@ Deadline ImplicationEngine::OptionsBatchDeadline() const {
                                              : Deadline::Never();
 }
 
+// One batch's goal claiming, shared by the calling thread and any helper
+// it recruits. Helpers hold it by `shared_ptr` and may wake after the
+// batch has returned; such a helper claims an index at or past `count` and
+// touches nothing but this block. The pointees of `prepared`, `goals` and
+// `results` are touched only under a claimed index below `count`, and the
+// caller does not return before every such goal has settled.
+struct ImplicationEngine::BatchWork {
+  BatchWork(const PreparedPremises* p, const std::vector<DifferentialConstraint>* g,
+            std::vector<EngineQueryResult>* r, Deadline d, CancelToken c)
+      : prepared(p), goals(g), results(r), batch_deadline(d), cancel(std::move(c)),
+        count(g->size()), unsettled(g->size()) {}
+
+  // Claims the next goal; an index at or past `count` means none is left.
+  std::size_t Claim() { return next.fetch_add(1); }
+
+  // A helper reports the `ran` goals it settled: one lock and at most one
+  // notify per helper, none for a helper that claimed nothing.
+  void Settle(std::size_t ran) EXCLUDES(mu) {
+    if (ran == 0) return;
+    MutexLock lock(&mu);
+    unsettled -= ran;
+    if (unsettled == 0) done_cv.NotifyOne();
+  }
+
+  // The caller reports the `ran` goals it settled, then waits for every
+  // goal a helper claimed to settle too (never for a helper to start).
+  void SettleAndWait(std::size_t ran) EXCLUDES(mu) {
+    MutexLock lock(&mu);
+    unsettled -= ran;
+    done_cv.Wait(mu, [this] {
+      mu.AssertHeld();
+      return unsettled == 0;
+    });
+  }
+
+  const PreparedPremises* const prepared;
+  const std::vector<DifferentialConstraint>* const goals;
+  std::vector<EngineQueryResult>* const results;
+  const Deadline batch_deadline;
+  const CancelToken cancel;
+  const std::size_t count;
+  std::atomic<std::size_t> next{0};
+  Mutex mu;
+  CondVarAny done_cv;
+  // Goals whose result has not yet been reported settled, claimed or not.
+  std::size_t unsettled GUARDED_BY(mu);
+};
+
+void ImplicationEngine::RunClaimedGoal(const BatchWork& work, std::size_t i) {
+  EngineQueryResult& r = (*work.results)[i];
+  // A fired token drains still-unclaimed queries without running them;
+  // queries already inside a solver observe the same token at their next
+  // check-point.
+  if (work.cancel.Cancelled()) {
+    r.status = Status::Cancelled("batch cancelled before query started");
+    RecordQueryMetrics(r);
+  } else {
+    r = GuardedRunQuery(*work.prepared, (*work.goals)[i], work.batch_deadline, work.cancel);
+  }
+}
+
 Result<BatchOutcome> ImplicationEngine::RunBatch(
     std::shared_ptr<const PreparedPremises> prepared,
     const std::vector<DifferentialConstraint>& goals, Deadline batch_deadline,
@@ -464,31 +529,35 @@ Result<BatchOutcome> ImplicationEngine::RunBatch(
   const std::uint64_t batch_start = NowNs();
 
   if (!goals.empty()) {
-    // Countdown latch: workers fill disjoint slots of the pre-sized result
-    // vector, the submitter blocks until the last query lands.
-    Mutex done_mu;
-    CondVarAny done_cv;
-    std::size_t remaining = goals.size();
-
-    for (std::size_t i = 0; i < goals.size(); ++i) {
-      pool_.Submit([this, i, &prepared, &goals, &out, &done_mu, &done_cv, &remaining,
-                    &batch_deadline, cancel] {
-        // A fired token drains still-queued queries without running them;
-        // queries already inside a solver observe the same token at their
-        // next check-point.
-        if (cancel.Cancelled()) {
-          out.results[i].status = Status::Cancelled("batch cancelled before query started");
-          RecordQueryMetrics(out.results[i]);
-        } else {
-          out.results[i] = GuardedRunQuery(*prepared, goals[i], batch_deadline, cancel);
-        }
-        MutexLock lock(&done_mu);
-        if (--remaining == 0) done_cv.NotifyOne();
-      });
+    auto work = std::make_shared<BatchWork>(prepared.get(), &goals, &out.results,
+                                            batch_deadline, std::move(cancel));
+    // The caller claims and runs goals itself. Between goals, once the
+    // batch has outlasted a hand-off and goals remain unclaimed, it wakes
+    // up to one helper per pool worker, once; helpers claim from the same
+    // index until it runs past the end.
+    constexpr auto kRecruitAfterNs = static_cast<std::uint64_t>(
+        std::chrono::nanoseconds(kRecruitHelpersAfter).count());
+    std::size_t ran = 0;
+    for (std::size_t i = work->Claim(); i < work->count; i = work->Claim()) {
+      RunClaimedGoal(*work, i);
+      ++ran;
+      if (out.stats.helpers != 0) continue;
+      const std::size_t claimed = work->next.load();
+      if (claimed >= work->count || NowNs() - batch_start <= kRecruitAfterNs) continue;
+      out.stats.helpers =
+          std::min(static_cast<std::size_t>(pool_.size()), work->count - claimed);
+      for (std::size_t h = 0; h < out.stats.helpers; ++h) {
+        pool_.Submit([this, work] {
+          std::size_t helped = 0;
+          for (std::size_t j = work->Claim(); j < work->count; j = work->Claim()) {
+            RunClaimedGoal(*work, j);
+            ++helped;
+          }
+          work->Settle(helped);
+        });
+      }
     }
-
-    MutexLock lock(&done_mu);
-    done_cv.Wait(done_mu, [&] { return remaining == 0; });
+    work->SettleAndWait(ran);
   }
 
   BatchStats& s = out.stats;

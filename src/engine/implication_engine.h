@@ -1,6 +1,7 @@
 #ifndef DIFFC_ENGINE_IMPLICATION_ENGINE_H_
 #define DIFFC_ENGINE_IMPLICATION_ENGINE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -85,6 +86,10 @@ struct BatchStats {
   /// Summed per-query wall time and end-to-end batch wall time.
   std::uint64_t total_query_ns = 0;
   std::uint64_t batch_wall_ns = 0;
+  /// Pool tasks the batch recruited to claim goals beside the calling
+  /// thread: 0 when the batch ran entirely on the caller, else at most
+  /// `EngineOptions::num_threads`. Not carried on the wire.
+  std::size_t helpers = 0;
 
   /// One-line human-readable rendering, for benchmark tables and logs.
   std::string ToString() const;
@@ -112,8 +117,14 @@ struct BatchOutcome {
 ///     interval cover / SAT / exhaustive fallback) by estimated cost and
 ///     the `EngineOptions` toggles; the plan lands in the query stats and
 ///     trace.
-///   - **Execute**: the plan runs on a fixed-size `std::jthread` worker
-///     pool, against the shared witness-set cache.
+///   - **Execute**: the thread that calls `CheckBatch` claims and runs
+///     the goals itself, against the shared witness-set cache. Only once
+///     the batch has run longer than a pool hand-off costs
+///     (`kRecruitHelpersAfter`) does it recruit workers of the fixed-size
+///     `std::jthread` pool, which claim the remaining goals from the same
+///     index. Recruitment happens between goals, so a batch whose first
+///     goal is long starts its helpers one goal late; from then on it runs
+///     on 1 + `num_threads` threads.
 ///
 /// Verdicts are identical to `CheckImplication` (every procedure is sound
 /// and the dispatch is deterministic per query); only speed depends on
@@ -129,6 +140,15 @@ class ImplicationEngine {
   ImplicationEngine(const ImplicationEngine&) = delete;
   ImplicationEngine& operator=(const ImplicationEngine&) = delete;
 
+  /// How long a batch runs on its calling thread alone before it recruits
+  /// pool workers. Waking a sleeping worker and getting its result back
+  /// costs about 11 µs of process CPU, and the task starts 5–6 µs (p50) to
+  /// 21–23 µs (p99) after `Submit` (EXPERIMENTS.md, hand-off probe). A
+  /// batch of polynomial-case goals (about a microsecond each) finishes
+  /// well inside this bound without any wake-up; a batch still running
+  /// past it has work enough to amortize one hand-off per worker.
+  static constexpr std::chrono::microseconds kRecruitHelpersAfter{50};
+
   /// The options the engine was built with (threads already clamped).
   const EngineOptions& options() const { return options_; }
 
@@ -142,7 +162,8 @@ class ImplicationEngine {
   Result<std::shared_ptr<const PreparedPremises>> Prepare(int n, const ConstraintSet& premises,
                                                           bool* from_cache = nullptr) const;
 
-  /// Decides `premises |= goals[i]` for every goal, in parallel. Returns
+  /// Decides `premises |= goals[i]` for every goal, on the calling thread
+  /// and, once the batch outlasts a hand-off, on pool workers. Returns
   /// InvalidArgument for an out-of-range universe size; per-query failures
   /// land in the corresponding `EngineQueryResult::status`, never abort.
   ///
@@ -195,6 +216,11 @@ class ImplicationEngine {
   EngineQueryResult GuardedRunQuery(const PreparedPremises& prepared,
                                     const DifferentialConstraint& goal,
                                     const Deadline& batch_deadline, const CancelToken& cancel);
+  /// The shared state of one batch's goal claiming (defined in the .cc).
+  struct BatchWork;
+  /// Runs goal `i` of `work` into its result slot; `i` must be a claimed
+  /// index below the goal count.
+  void RunClaimedGoal(const BatchWork& work, std::size_t i);
   /// Shared batch driver for the prepared and unprepared entry points;
   /// `batch_deadline` is the already-resolved wall-clock bound.
   Result<BatchOutcome> RunBatch(std::shared_ptr<const PreparedPremises> prepared,

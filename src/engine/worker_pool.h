@@ -34,8 +34,8 @@ namespace diffc {
 ///
 /// Destruction requests stop, wakes all workers, and joins them (jthread);
 /// tasks still queued at destruction are discarded, so callers that need
-/// completion must track it themselves (the engine uses a countdown latch
-/// per batch).
+/// completion must track it themselves (the engine counts each batch's
+/// unsettled goals in a block its helper tasks share).
 class WorkerPool {
  public:
   /// A consistent point-in-time view of the pool.

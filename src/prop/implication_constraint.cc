@@ -1,7 +1,5 @@
 #include "prop/implication_constraint.h"
 
-#include "util/bitops.h"
-
 namespace diffc::prop {
 
 FormulaPtr ImplicationConstraintFormula(const ItemSet& x, const SetFamily& family) {
@@ -17,13 +15,10 @@ ConstraintClauseBlock TranslateImplicationConstraint(const ItemSet& x, const Set
                                                      int first_aux_var) {
   ConstraintClauseBlock out;
   Clause main_clause;
-  ForEachBit(x.bits(), [&](int a) { main_clause.push_back(-(a + 1)); });
-  for (const ItemSet& member : family.members()) {
-    const int aux = first_aux_var + out.aux_vars++;
-    ForEachBit(member.bits(), [&](int y) { out.clauses.push_back({-aux, y + 1}); });
-    main_clause.push_back(aux);
-  }
-  out.clauses.push_back(std::move(main_clause));
+  out.aux_vars = EmitImplicationConstraintClauses(
+      x, family, first_aux_var, &main_clause, [&](std::span<const Literal> clause) {
+        out.clauses.emplace_back(clause.begin(), clause.end());
+      });
   return out;
 }
 

@@ -1,9 +1,12 @@
 #ifndef DIFFC_PROP_IMPLICATION_CONSTRAINT_H_
 #define DIFFC_PROP_IMPLICATION_CONSTRAINT_H_
 
+#include <span>
+
 #include "lattice/set_family.h"
 #include "prop/cnf.h"
 #include "prop/formula.h"
+#include "util/bitops.h"
 
 namespace diffc::prop {
 
@@ -40,6 +43,29 @@ struct ConstraintClauseBlock {
 /// the concatenation of these blocks in premise order.
 ConstraintClauseBlock TranslateImplicationConstraint(const ItemSet& x, const SetFamily& family,
                                                      int first_aux_var);
+
+/// The same block without building it: calls `emit(std::span<const
+/// Literal>)` once per clause, in `TranslateImplicationConstraint` order,
+/// and returns the auxiliaries consumed. The main clause is assembled in
+/// `*main_clause`, a buffer the caller may reuse across calls; each span
+/// is valid only during its `emit` call.
+template <typename Emit>
+int EmitImplicationConstraintClauses(const ItemSet& x, const SetFamily& family,
+                                     int first_aux_var, Clause* main_clause, Emit&& emit) {
+  main_clause->clear();
+  ForEachBit(x.bits(), [&](int a) { main_clause->push_back(-(a + 1)); });
+  int aux_vars = 0;
+  for (const ItemSet& member : family.members()) {
+    const int aux = first_aux_var + aux_vars++;
+    ForEachBit(member.bits(), [&](int y) {
+      const Literal definition[2] = {-aux, y + 1};
+      emit(std::span<const Literal>(definition));
+    });
+    main_clause->push_back(aux);
+  }
+  emit(std::span<const Literal>(*main_clause));
+  return aux_vars;
+}
 
 }  // namespace diffc::prop
 

@@ -19,6 +19,7 @@
 #include "engine/implication_engine.h"
 #include "engine/worker_pool.h"
 #include "obs/exposition.h"
+#include "obs/metrics.h"
 #include "prop/tautology.h"
 #include "test_helpers.h"
 #include "util/deadline.h"
@@ -398,6 +399,74 @@ TEST(ImplicationEngineTest, BatchStatsToStringMentionsCaches) {
       std::string("premise_cache=") + PremiseCacheEventName(out->stats.premise_cache);
   EXPECT_NE(s.find(premise), std::string::npos) << s;
   EXPECT_NE(out->stats.premise_cache, PremiseCacheEvent::kNotConsulted);
+  const std::string helpers = "helpers=" + std::to_string(out->stats.helpers);
+  EXPECT_NE(s.find(helpers), std::string::npos) << s;
+}
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitizerBuild = true;
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+
+// Tasks submitted to worker pools so far (process-wide, cumulative: use
+// deltas).
+std::uint64_t PoolTasksSubmitted() {
+  return obs::Registry::Global()
+      .GetCounter("diffc_pool_tasks_submitted_total", "Tasks submitted to worker pools.")
+      ->Value();
+}
+
+TEST(ImplicationEngineTest, PolynomialBatchRunsOnTheCallingThread) {
+  // Trivial and interval-cover goals settle in about a microsecond each,
+  // so the whole batch ends before it outlasts a pool hand-off: no worker
+  // is woken and no pool task is submitted.
+  const int n = 10;
+  ConstraintSet premises{
+      DifferentialConstraint(ItemSet{0}, SetFamily({ItemSet{1, 2}, ItemSet{3}})),
+      DifferentialConstraint(ItemSet{4}, SetFamily({ItemSet{5}, ItemSet{6, 7}}))};
+  std::vector<DifferentialConstraint> goals;
+  for (int i = 0; i < 2; ++i) {
+    goals.push_back(DifferentialConstraint(ItemSet{0, 8}, premises[0].rhs()));
+    goals.push_back(DifferentialConstraint(ItemSet{4, 9}, premises[1].rhs()));
+    goals.push_back(DifferentialConstraint(ItemSet{2, 3}, SetFamily({ItemSet{3}})));
+  }
+  ASSERT_TRUE(obs::MetricsEnabled());
+  ImplicationEngine engine;
+  Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(n, premises);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(engine.CheckBatch(*prepared, goals).ok());  // Warms the witness cache.
+  const auto threshold_ns = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(ImplicationEngine::kRecruitHelpersAfter).count());
+  // Recruitment is checked between goals against the time since the batch
+  // began, so a batch whose whole wall time stays under the threshold
+  // cannot have recruited. Every run submits exactly one pool task per
+  // recruited helper.
+  int fast_runs = 0;
+  for (int run = 0; run < 20; ++run) {
+    const std::uint64_t before = PoolTasksSubmitted();
+    Result<BatchOutcome> out = engine.CheckBatch(*prepared, goals);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(PoolTasksSubmitted() - before, out->stats.helpers);
+    ASSERT_EQ(out->results.size(), goals.size());
+    for (const EngineQueryResult& r : out->results) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_TRUE(r.outcome.implied);
+      EXPECT_TRUE(r.stats.procedure == DecisionProcedure::kTrivial ||
+                  r.stats.procedure == DecisionProcedure::kIntervalCover)
+          << DecisionProcedureName(r.stats.procedure);
+    }
+    if (out->stats.batch_wall_ns <= threshold_ns) {
+      ++fast_runs;
+      EXPECT_EQ(out->stats.helpers, 0u);
+    }
+  }
+  // Uninstrumented, the batch takes a few microseconds; a run the
+  // scheduler preempts may still cross the threshold, so not all of them.
+  // Sanitizer builds run these goals tens of times slower.
+  if (!kSanitizerBuild) {
+    EXPECT_GT(fast_runs, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -652,6 +721,74 @@ TEST(EngineReliabilityTest, ExhaustedRetriesDegrade) {
   EXPECT_EQ(r.stats.degraded_from, StatusCode::kResourceExhausted);
 }
 
+TEST(EngineReliabilityTest, SlowBatchRecruitsPoolHelpers) {
+  // Each PHP(7,6) goal runs for milliseconds, far past the recruitment
+  // threshold: after its first goal the caller wakes one helper per pool
+  // worker (here as many as goals remain), and the verdicts are those of
+  // the single-query path.
+  PigeonholeProblem p = MakePigeonhole(6);
+  std::vector<DifferentialConstraint> goals(3, p.goal);
+  goals.push_back(DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})));
+  EngineOptions opts;
+  opts.num_threads = 2;
+  ImplicationEngine engine(opts);
+  const std::uint64_t before = PoolTasksSubmitted();
+  Result<BatchOutcome> out = engine.CheckBatch(p.n, p.premises, goals);
+  ASSERT_TRUE(out.ok());
+  EXPECT_GE(out->stats.helpers, 1u);
+  EXPECT_LE(out->stats.helpers, 2u);
+  EXPECT_EQ(PoolTasksSubmitted() - before, out->stats.helpers);
+  ASSERT_EQ(out->results.size(), goals.size());
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    const EngineQueryResult& r = out->results[i];
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EngineQueryResult alone = engine.CheckOne(p.n, p.premises, goals[i]);
+    ASSERT_TRUE(alone.status.ok()) << alone.status.ToString();
+    EXPECT_EQ(r.outcome.verdict, alone.outcome.verdict) << "goal " << i;
+    EXPECT_EQ(r.stats.procedure, alone.stats.procedure) << "goal " << i;
+    EXPECT_EQ(r.stats.solver.decisions, alone.stats.solver.decisions) << "goal " << i;
+  }
+  EXPECT_EQ(out->stats.implied, goals.size());
+  EXPECT_EQ(out->stats.by_sat, 3u);
+}
+
+TEST(EngineReliabilityTest, HelpersWakingAfterTheirBatchTouchNothing) {
+  // One slow goal (PHP(6,5), hundreds of microseconds), then trivial ones:
+  // the caller recruits helpers after the slow goal and usually settles
+  // the rest before they wake, so most helpers start after their batch has
+  // returned and its goals and result vector are gone. Such a helper must
+  // touch only its batch's shared block (ASan and TSan run this). The next
+  // batch starts while stale helpers are still queued.
+  PigeonholeProblem p = MakePigeonhole(5);
+  std::vector<DifferentialConstraint> goals{p.goal};
+  for (int i = 0; i < 7; ++i) {
+    goals.push_back(DifferentialConstraint(ItemSet{0, 1}, SetFamily({ItemSet{1}})));
+  }
+  EngineOptions opts;
+  opts.num_threads = 4;
+  ImplicationEngine engine(opts);
+  Result<std::shared_ptr<const PreparedPremises>> prepared = engine.Prepare(p.n, p.premises);
+  ASSERT_TRUE(prepared.ok());
+  const std::uint64_t before = PoolTasksSubmitted();
+  std::uint64_t helpers = 0;
+  for (int batch = 0; batch < 1000; ++batch) {
+    // Fresh goal and result storage per batch, freed on return.
+    std::vector<DifferentialConstraint> batch_goals = goals;
+    Result<BatchOutcome> out = engine.CheckBatch(*prepared, batch_goals);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->results.size(), goals.size());
+    for (const EngineQueryResult& r : out->results) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ASSERT_TRUE(r.outcome.implied);
+    }
+    ASSERT_EQ(out->stats.by_sat, 1u);
+    ASSERT_EQ(out->stats.by_trivial, goals.size() - 1);
+    helpers += out->stats.helpers;
+  }
+  EXPECT_EQ(PoolTasksSubmitted() - before, helpers);
+  EXPECT_GT(helpers, 0u);
+}
+
 TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
   PigeonholeProblem p = MakePigeonhole(7);
   std::vector<DifferentialConstraint> goals(6, p.goal);
@@ -677,8 +814,9 @@ TEST(EngineReliabilityTest, CancellationDrainsTheBatch) {
   }
   EXPECT_EQ(out->stats.cancelled, goals.size());
   EXPECT_EQ(out->stats.failed, goals.size());
-  // Two workers were mid-solve when the token fired (each query alone runs
-  // far past 30ms); the queued queries drained without starting.
+  // The caller was mid-solve on its first goal when the token fired (each
+  // query alone runs far past 30ms), and any helper it had recruited by
+  // then on the next; the goals still unclaimed drained without starting.
   EXPECT_GE(stopped_while_running, 1u);
   EXPECT_GE(drained_from_queue, 1u);
 }

@@ -8,6 +8,7 @@
 #include "core/function_ops.h"
 #include "core/implication.h"
 #include "core/parser.h"
+#include "prop/implication_constraint.h"
 #include "prop/tautology.h"
 #include "util/deadline.h"
 #include "test_helpers.h"
@@ -140,6 +141,41 @@ TEST(TranslationTest, CompiledArenaIsTheCheckedCompilation) {
     ASSERT_TRUE(checked.ok()) << iter;
     EXPECT_EQ(t.compiled, *checked) << iter;
     EXPECT_EQ(t.compiled.num_clauses(), t.clauses.size()) << iter;
+    // The readable clauses are the per-constraint blocks, in premise order.
+    std::vector<prop::Clause> blocks;
+    int next_aux = n + 1;
+    for (const DifferentialConstraint& p : premises) {
+      prop::ConstraintClauseBlock block =
+          prop::TranslateImplicationConstraint(p.lhs(), p.rhs(), next_aux);
+      next_aux += block.aux_vars;
+      blocks.insert(blocks.end(), block.clauses.begin(), block.clauses.end());
+    }
+    EXPECT_EQ(t.clauses, blocks) << iter;
+    EXPECT_EQ(t.num_vars, next_aux - 1) << iter;
+  }
+}
+
+// The uncached entry point compiles only the solver's arena; it must pose
+// the same CNF as the cached translation: same verdict, counterexample
+// and search.
+TEST(TranslationTest, UncachedSatMatchesTranslatedSat) {
+  Rng rng(405);
+  for (int iter = 0; iter < 200; ++iter) {
+    const int n = std::vector<int>{4, 8, 16, 32}[iter % 4];
+    ConstraintSet premises = testing::RandomConstraintSet(
+        rng, n, static_cast<int>(rng.UniformInt(0, 24)));
+    DifferentialConstraint goal = testing::RandomConstraint(
+        rng, n, 0.2, static_cast<int>(rng.UniformInt(1, 3)), 0.2);
+    prop::SolverStats direct_stats, translated_stats;
+    Result<ImplicationOutcome> direct = CheckImplicationSat(n, premises, goal, &direct_stats);
+    Result<ImplicationOutcome> translated = CheckImplicationSatTranslated(
+        n, TranslatePremises(n, premises), goal, &translated_stats);
+    ASSERT_TRUE(direct.ok()) << iter;
+    ASSERT_TRUE(translated.ok()) << iter;
+    EXPECT_EQ(direct->verdict, translated->verdict) << iter;
+    EXPECT_EQ(direct->counterexample, translated->counterexample) << iter;
+    EXPECT_EQ(direct_stats.decisions, translated_stats.decisions) << iter;
+    EXPECT_EQ(direct_stats.propagations, translated_stats.propagations) << iter;
   }
 }
 
