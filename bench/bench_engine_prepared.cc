@@ -158,8 +158,9 @@ void RunPreparedExperiment() {
   const CacheCounters cache = GlobalPreparedPremisesCache().counters();
   std::printf("prepare: %zu -> %zu constraints (%zu trivial, %zu duplicates dropped), "
               "%d vars, %zu clauses, %.3fms build\n",
-              ps.input_constraints, ps.canonical_constraints, ps.dropped_trivial,
-              ps.dropped_duplicates, ps.translation_vars, ps.translation_clauses,
+              ps.cost_constraints_before, ps.cost_constraints_after,
+              ps.RuleEdits("drop-trivial"), ps.RuleEdits("absorb-subsumed"),
+              ps.translation_vars, ps.translation_clauses,
               static_cast<double>(ps.total_ns) / 1e6);
   std::printf("prepared cache: %.4f lifetime hit ratio\n\n", cache.HitRatio());
 
@@ -178,10 +179,10 @@ void RunPreparedExperiment() {
   json << "  \"prepared_speedup\": " << prepared_speedup << ",\n";
   json << "  \"cached_speedup\": " << cached_speedup << ",\n";
   json << "  \"verdicts_agree\": " << (all_agree ? "true" : "false") << ",\n";
-  json << "  \"prepare\": {\"input_constraints\": " << ps.input_constraints
-       << ", \"canonical_constraints\": " << ps.canonical_constraints
-       << ", \"dropped_trivial\": " << ps.dropped_trivial
-       << ", \"dropped_duplicates\": " << ps.dropped_duplicates
+  json << "  \"prepare\": {\"input_constraints\": " << ps.cost_constraints_before
+       << ", \"canonical_constraints\": " << ps.cost_constraints_after
+       << ", \"dropped_trivial\": " << ps.RuleEdits("drop-trivial")
+       << ", \"dropped_duplicates\": " << ps.RuleEdits("absorb-subsumed")
        << ", \"translation_vars\": " << ps.translation_vars
        << ", \"translation_clauses\": " << ps.translation_clauses
        << ", \"build_ms\": " << static_cast<double>(ps.total_ns) / 1e6 << "},\n";

@@ -1,19 +1,24 @@
-// Experiment E10 — the rewrite canonicalizer vs the legacy inline path:
+// Experiment E10 — the rewrite canonicalizer vs a fixed inline baseline:
 // one revalidation-style workload (a premise set with the redundancy shapes
 // real mining loops accumulate: augmented copies of existing constraints,
 // non-minimal witness families, members overlapping their left-hand side,
-// and split same-lhs constraints) compiled two ways:
+// and split same-lhs constraints) canonicalized two ways:
 //
-//   raw        — `PrepareOptions::use_rewriter = false`: the PR 5 inline
-//                canonicalization (drop trivial, minimize families, dedupe).
-//   simplified — the rule-driven simplifier at level 2 (DESIGN.md §14).
+//   raw        — `InlineCanonicalize` below: drop trivial, minimize
+//                families, sort + dedupe. `PreparedPremises` canonicalized
+//                this way before the rewriter became its only path; it is
+//                kept here, frozen, as the baseline the floor is set on.
+//   simplified — `PreparedPremises::Build` at its default, the rule-driven
+//                simplifier at level 2 (DESIGN.md §14).
 //
 // The headline number is the artifact shrink attributable to the rewriter
-// beyond the inline path: member_reduction = 1 − members(simplified) /
+// beyond the inline baseline: member_reduction = 1 − members(simplified) /
 // members(raw). The acceptance bar is >= 10%, encoded in
-// bench/BENCH_E10.schema.json and checked in CI; repeated-query speedup on
-// the smaller artifact is reported alongside, and verdict agreement across
-// the two compilations is pinned. Results land in BENCH_E10.json.
+// bench/BENCH_E10.schema.json and checked in CI. Repeated-query cost is
+// reported alongside: both canonical sets are translated once
+// (Proposition 5.4) and every goal is solved on the translation, so the
+// rows differ only in the artifact. Verdict agreement across the two is
+// pinned. Results land in BENCH_E10.json.
 
 #include <benchmark/benchmark.h>
 
@@ -27,7 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/implication_engine.h"
+#include "core/implication.h"
+#include "engine/prepared_premises.h"
 #include "rewrite/rewrite_rule.h"
 #include "rewrite/simplifier.h"
 #include "util/random.h"
@@ -47,7 +53,7 @@ DifferentialConstraint RandomConstraint(Rng& rng, int n, int members) {
 }
 
 // The E10 workload: a base set plus the redundancy only the rewriter can
-// remove — the inline path keeps augmented (non-identical) copies and
+// remove — the inline baseline keeps augmented (non-identical) copies and
 // split same-lhs constraints, so the differential is exactly the new
 // rules' contribution.
 void MakeWorkload(int n, ConstraintSet* premises,
@@ -103,6 +109,22 @@ void MakeWorkload(int n, ConstraintSet* premises,
   }
 }
 
+// The fixed "raw" baseline: drop trivial premises (they exclude no set
+// from L(C)), minimize each right-hand family (SomeMemberSubsetOf — and so
+// L(X, Y) — is invariant under dropping non-minimal members), then sort
+// and dedupe.
+ConstraintSet InlineCanonicalize(const ConstraintSet& premises) {
+  ConstraintSet canonical;
+  canonical.reserve(premises.size());
+  for (const DifferentialConstraint& p : premises) {
+    if (p.IsTrivial()) continue;
+    canonical.push_back(DifferentialConstraint(p.lhs(), p.rhs().Minimized()));
+  }
+  std::sort(canonical.begin(), canonical.end());
+  canonical.erase(std::unique(canonical.begin(), canonical.end()), canonical.end());
+  return canonical;
+}
+
 double MeasureMs(const std::function<void()>& fn) {
   auto start = std::chrono::steady_clock::now();
   fn();
@@ -111,7 +133,7 @@ double MeasureMs(const std::function<void()>& fn) {
 }
 
 void RunRewriteExperiment() {
-  std::printf("=== E10: rewrite canonicalizer vs inline path "
+  std::printf("=== E10: rewrite canonicalizer vs inline baseline "
               "(n=16, planted redundancy, 400 queries) ===\n");
   const int n = 16;
   const int kTrials = 5;
@@ -119,18 +141,15 @@ void RunRewriteExperiment() {
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
 
-  PrepareOptions raw_opts;
-  raw_opts.use_rewriter = false;
-  Result<std::shared_ptr<const PreparedPremises>> raw =
-      PreparedPremises::Build(n, premises, raw_opts);
+  const ConstraintSet raw = InlineCanonicalize(premises);
   Result<std::shared_ptr<const PreparedPremises>> simplified =
       PreparedPremises::Build(n, premises);  // Rewriter at level 2.
-  if (!raw.ok() || !simplified.ok()) {
+  if (!simplified.ok()) {
     std::fprintf(stderr, "Build failed\n");
     return;
   }
 
-  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of((*raw)->constraints());
+  const rewrite::RewriteCost raw_cost = rewrite::RewriteCost::Of(raw);
   const rewrite::RewriteCost simplified_cost =
       rewrite::RewriteCost::Of((*simplified)->constraints());
   const double member_reduction =
@@ -149,28 +168,15 @@ void RunRewriteExperiment() {
           : 1.0 - static_cast<double>(simplified_cost.member_items) /
                       static_cast<double>(raw_cost.member_items);
 
-  EngineOptions opts;
-  opts.num_threads = 1;
-  ImplicationEngine engine(opts);
-
-  // Warm the witness cache so both rows measure steady-state query cost on
-  // their artifact, not first-touch witness enumeration.
-  for (const DifferentialConstraint& g : goals) {
-    (void)engine.CheckOne(*raw, g);
-    (void)engine.CheckOne(*simplified, g);
-  }
-
-  bool verdicts_agree = true;
-  auto run_row = [&](const std::shared_ptr<const PreparedPremises>& artifact,
-                     std::vector<bool>* verdicts) {
+  auto run_row = [&](const PremiseTranslation& translation, std::vector<bool>* verdicts) {
     double best = 1e100;
     for (int t = 0; t < kTrials; ++t) {
       std::vector<bool> got;
       got.reserve(goals.size());
       best = std::min(best, MeasureMs([&] {
         for (const DifferentialConstraint& g : goals) {
-          EngineQueryResult r = engine.CheckOne(artifact, g);
-          got.push_back(r.status.ok() && r.outcome.implied);
+          Result<ImplicationOutcome> r = CheckImplicationSatTranslated(n, translation, g);
+          got.push_back(r.ok() && r->implied);
         }
       }));
       *verdicts = std::move(got);
@@ -180,9 +186,9 @@ void RunRewriteExperiment() {
 
   std::vector<bool> raw_verdicts;
   std::vector<bool> simplified_verdicts;
-  const double raw_ms = run_row(*raw, &raw_verdicts);
-  const double simplified_ms = run_row(*simplified, &simplified_verdicts);
-  verdicts_agree = raw_verdicts == simplified_verdicts;
+  const double raw_ms = run_row(TranslatePremises(n, raw), &raw_verdicts);
+  const double simplified_ms = run_row((*simplified)->translation(), &simplified_verdicts);
+  const bool verdicts_agree = raw_verdicts == simplified_verdicts;
   const double query_speedup = simplified_ms > 0 ? raw_ms / simplified_ms : 0.0;
 
   const PrepareStats& ss = (*simplified)->stats();
@@ -252,14 +258,12 @@ void BM_PrepareWithRewriter(benchmark::State& state) {
   ConstraintSet premises;
   std::vector<DifferentialConstraint> goals;
   MakeWorkload(n, &premises, &goals);
-  PrepareOptions opts;
-  opts.use_rewriter = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PreparedPremises::Build(n, premises, opts));
+    benchmark::DoNotOptimize(PreparedPremises::Build(n, premises));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PrepareWithRewriter)->Arg(0)->Arg(1);
+BENCHMARK(BM_PrepareWithRewriter);
 
 }  // namespace
 }  // namespace diffc

@@ -139,8 +139,8 @@ std::size_t WitnessSetCache::size() const {
 
 std::size_t PreparedPremisesCache::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(k.n);
-  h ^= (k.options.use_rewriter ? 0x85ebca6bull : 0xc2b2ae35ull) +
-       static_cast<std::uint64_t>(k.options.simplify_level) + (h << 6) + (h >> 2);
+  h ^= static_cast<std::uint64_t>(k.options.simplify_level) + 0x85ebca6bull + (h << 6) +
+       (h >> 2);
   for (const DifferentialConstraint& c : k.premises) {
     h ^= c.lhs().bits() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     h ^= static_cast<std::uint64_t>(c.rhs().Hash()) + 0x9e3779b97f4a7c15ull + (h << 6) +

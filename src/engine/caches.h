@@ -237,14 +237,14 @@ class PreparedPremisesCache {
 
   /// The prepared artifact for `premises` over `n` attributes under
   /// default `PrepareOptions`, built on miss. `hit`, when non-null,
-  /// receives whether the entry was cached. Fails only on invalid `n`
+  /// receives whether the entry was cached. Fails only when `Build` does
   /// (InvalidArgument, never cached).
   Result<std::shared_ptr<const PreparedPremises>> Get(int n, const ConstraintSet& premises,
                                                       bool* hit = nullptr) EXCLUDES(mu_);
 
   /// As above with explicit canonicalization options — part of the cache
-  /// key, so artifacts built at different simplify levels (or on the
-  /// legacy inline path) never alias.
+  /// key, so artifacts built at different simplify levels never alias.
+  /// Options `Build` rejects get its InvalidArgument and insert nothing.
   Result<std::shared_ptr<const PreparedPremises>> Get(int n, const ConstraintSet& premises,
                                                       const PrepareOptions& options,
                                                       bool* hit = nullptr) EXCLUDES(mu_);

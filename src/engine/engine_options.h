@@ -52,12 +52,11 @@ struct EngineOptions {
   /// `bench_engine_prepared` measures `Prepare()` against.
   bool use_prepared_cache = true;
   /// Canonicalization level of premise compilation (`PrepareOptions`,
-  /// DESIGN.md §14): 0 runs the legacy PR 5 inline path
-  /// (`use_rewriter=false`) as a differential reference; 1 runs the
-  /// structural rewrite rules (drop-trivial, minimize-rhs,
-  /// absorb-subsumed); 2 (the default) adds narrow-members and
-  /// merge-same-lhs. Every level preserves L(C) — and so every verdict —
-  /// exactly.
+  /// DESIGN.md §14): 1 runs the structural rewrite rules (drop-trivial,
+  /// minimize-rhs, absorb-subsumed); 2 (the default) adds narrow-members
+  /// and merge-same-lhs. Both levels preserve L(C) — and so every verdict
+  /// — exactly. Any other value makes `Prepare`, `CheckOne` and
+  /// `CheckBatch` fail with InvalidArgument.
   int simplify_level = 2;
   /// Enables the interval-cover fast path: answer a query from the cached
   /// minimal witness sets of its right-hand family when the cover is

@@ -236,13 +236,11 @@ ImplicationEngine::ImplicationEngine(EngineOptions options)
   options_.num_threads = pool_.size();
 }
 
-// Maps the engine's simplify level onto premise-compilation options:
-// level 0 selects the legacy inline canonicalizer (the differential
-// reference), any higher level runs the rewrite simplifier at that level.
+// The engine's premise-compilation options; `PreparedPremises::Build`
+// rejects a level outside {1, 2}.
 static PrepareOptions PrepareOptionsFrom(const EngineOptions& o) {
   PrepareOptions p;
-  p.use_rewriter = o.simplify_level > 0;
-  if (o.simplify_level > 0) p.simplify_level = o.simplify_level;
+  p.simplify_level = o.simplify_level;
   return p;
 }
 

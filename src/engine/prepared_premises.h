@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,55 +14,27 @@
 
 namespace diffc {
 
-/// How `PreparedPremises::Build` canonicalizes the premise set.
+/// How `PreparedPremises::Build` canonicalizes the premise set. The
+/// rule-driven rewrite simplifier (`src/rewrite/`, DESIGN.md §14) is the
+/// only canonicalizer; `Build` rejects any other setting with
+/// InvalidArgument.
 struct PrepareOptions {
-  /// Canonicalize through the rule-driven rewrite simplifier
-  /// (`src/rewrite/`, DESIGN.md §14). When false the PR 5 inline path
-  /// (drop trivial, minimize right-hand families, sort + dedupe) runs
-  /// instead — kept as the differential reference the rewriter's
-  /// simplified-vs-raw verdict suite compares against.
+  /// Must be true: canonicalize through `rewrite::Simplify`.
   bool use_rewriter = true;
-  /// `rewrite::SimplifyOptions::level` when the rewriter runs: 1 =
-  /// structural rules only, 2 = full rule set. Clamped to >= 1.
+  /// `rewrite::SimplifyOptions::level`: 1 = structural rules only,
+  /// 2 = full rule set. Must be 1 or 2.
   int simplify_level = 2;
 
-  friend bool operator==(const PrepareOptions& a, const PrepareOptions& b) {
-    return a.use_rewriter == b.use_rewriter && a.simplify_level == b.simplify_level;
-  }
-  friend bool operator!=(const PrepareOptions& a, const PrepareOptions& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const PrepareOptions& a, const PrepareOptions& b) = default;
 };
 
 /// Per-artifact build counters of a `PreparedPremises` compilation.
 struct PrepareStats {
-  /// Constraints in the input set / surviving canonicalization.
-  std::size_t input_constraints = 0;
-  std::size_t canonical_constraints = 0;
-  /// Trivial premises dropped (`L(X, Y) = ∅` constrains nothing). On the
-  /// rewriter path this is the `drop-trivial` edit count.
-  std::size_t dropped_trivial = 0;
-  /// Inline path: duplicates removed after sorting the canonical forms.
-  /// Rewriter path: constraints dropped by `absorb-subsumed`, which
-  /// subsumes exact duplicates (DESIGN.md §14).
-  std::size_t dropped_duplicates = 0;
-  /// Right-hand members removed by witness-family minimization
-  /// (`minimize-rhs` on the rewriter path).
-  std::size_t minimized_members = 0;
-  /// Constraints removed by `merge-same-lhs` (rewriter path only).
-  std::size_t merged_constraints = 0;
-  /// Member items removed by `narrow-members` (rewriter path only).
-  std::size_t narrowed_items = 0;
-  /// True when the rule-driven simplifier canonicalized the set.
-  bool used_rewriter = false;
-  /// The level the rewriter ran at; 0 on the legacy inline path.
-  int simplify_level = 0;
-  /// Rewriter fixpoint passes / total rule edits (zero on the inline path).
+  /// Rewriter fixpoint passes / total rule edits.
   std::size_t rewrite_passes = 0;
   std::size_t rewrite_applied = 0;
   /// The simplifier cost triple — (constraints, witness-family members,
-  /// total member sizes) — before and after canonicalization. Populated on
-  /// both paths, so artifact-shrink is comparable across them.
+  /// total member sizes) — of the input set and of the canonical set.
   std::size_t cost_constraints_before = 0;
   std::size_t cost_members_before = 0;
   std::size_t cost_items_before = 0;
@@ -69,8 +42,13 @@ struct PrepareStats {
   std::size_t cost_members_after = 0;
   std::size_t cost_items_after = 0;
   /// (rule name, edit count) per rule the rewriter ran, in application
-  /// order; empty on the inline path.
+  /// order.
   std::vector<std::pair<std::string, std::size_t>> rewrite_rule_applied;
+  /// Edits `rule` made (0 when it did not run at this level). Each
+  /// `drop-trivial`, `absorb-subsumed` or `merge-same-lhs` edit removes
+  /// one constraint; `minimize-rhs` and `narrow-members` edits remove a
+  /// family member and member items respectively.
+  std::size_t RuleEdits(std::string_view rule) const;
   /// Size of the Proposition 5.4 premise translation.
   int translation_vars = 0;
   std::size_t translation_clauses = 0;
@@ -88,25 +66,26 @@ struct PrepareStats {
 /// instances — the prepare side of the engine's prepare/plan/execute
 /// pipeline. Holds:
 ///
-///   - the canonical constraints: trivial premises dropped, right-hand
-///     families minimized (`SetFamily::Minimized`, which preserves the
-///     witness structure `SomeMemberSubsetOf` and hence `L(C)` exactly),
-///     then sorted and deduplicated;
+///   - the canonical constraints: the fixpoint of `rewrite::Simplify` at
+///     the configured level (trivial premises dropped, right-hand
+///     families minimized, subsumed constraints absorbed; at level 2 also
+///     members narrowed and same-lhs constraints merged), sorted;
 ///   - the Proposition 5.4 premise CNF translation over the canonical set,
 ///     compiled once into the solver's flat literal arena;
 ///   - the FD-subclass closure index (`FdPremiseIndex`), when eligible;
 ///   - the per-stage build stats.
 ///
-/// Canonicalization never changes the closure lattice `L(C)`, so verdicts
-/// and counterexamples computed against the artifact are valid against the
-/// original set. Thread-safe by immutability: every accessor is a const
-/// read of state fixed at `Build` time.
+/// Every rewrite rule preserves the closure lattice `L(C)` exactly, so
+/// verdicts and counterexamples computed against the artifact are valid
+/// against the original set. Thread-safe by immutability: every accessor
+/// is a const read of state fixed at `Build` time.
 class PreparedPremises {
  public:
   /// Compiles `premises` over an `n`-attribute universe with default
   /// options (rewrite simplifier at level 2). Returns InvalidArgument for
-  /// `n` outside [0, 64] or a premise with attributes outside the universe
-  /// (`ValidateUniverse`); never fails otherwise.
+  /// `n` outside [0, 64], a premise with attributes outside the universe
+  /// (`ValidateUniverse`), or options other than `use_rewriter` with
+  /// `simplify_level` 1 or 2; never fails otherwise.
   static Result<std::shared_ptr<const PreparedPremises>> Build(int n,
                                                                const ConstraintSet& premises);
 

@@ -763,12 +763,15 @@ Status DiffcdServer::Shutdown() {
       "diffcd-drain-begin",
       {{"address", bound_address_}, {"sessions", std::to_string(sessions_active())}});
 
-  // 1. Stop accepting: close the listeners (Close wakes a blocked accept)
-  //    and retire the listener threads.
-  listener_.Close();
-  metrics_listener_.Close();
+  // 1. Stop accepting: shut the listeners down (waking a blocked accept),
+  //    retire the listener threads, and only then release the fds — a
+  //    close while a thread is still in Accept would race on the fd.
+  listener_.Shutdown();
+  metrics_listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_thread_.joinable()) metrics_thread_.join();
+  listener_.Close();
+  metrics_listener_.Close();
 
   // 2. Half-close every session's read side: a session blocked in
   //    ReadFrame wakes with clean EOF and exits; a session mid-request

@@ -203,8 +203,8 @@ class DiffcdServer {
   // `Start` (before any server thread exists) and torn down once in the
   // single `Shutdown` transition; the in-between reads (blocking `Accept`
   // from the listener threads, address getters) are lock-free on purpose —
-  // a blocking accept cannot hold a mutex, and `Listener::Close` is the
-  // documented cross-thread unblock mechanism.
+  // a blocking accept cannot hold a mutex, and `Listener::Shutdown` is the
+  // documented cross-thread unblock mechanism (`Close` runs after the join).
   Listener listener_;
   Listener metrics_listener_;
   std::string bound_address_;

@@ -442,18 +442,22 @@ Result<Socket> Listener::Accept() const {
       return Socket(fd);
     }
     if (errno == EINTR) continue;
-    // EBADF / EINVAL: Close() raced with or preceded this Accept — the
-    // orderly shutdown path, not an error worth surfacing loudly.
+    // EINVAL: Shutdown() woke or preceded this Accept — the orderly
+    // shutdown path, not an error worth surfacing loudly.
     if (errno == EBADF || errno == EINVAL) return Status::Cancelled("listener closed");
     return Errno("accept");
   }
 }
 
+void Listener::Shutdown() const {
+  // shutdown() wakes a blocking accept() with EINVAL and fails every later
+  // one the same way; close alone would not unblock accept on Linux.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
+  Shutdown();
   if (fd_ >= 0) {
-    // Shutdown wakes a concurrent blocking accept() before close
-    // invalidates the fd (close alone does not unblock accept on Linux).
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

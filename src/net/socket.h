@@ -113,11 +113,18 @@ class Listener {
   /// The bound address, with the kernel-assigned port for TCP port 0.
   const std::string& bound_address() const { return bound_address_; }
 
-  /// Blocks for the next connection. After `Close`, returns Cancelled.
+  /// Blocks for the next connection. After `Shutdown` or `Close`, returns
+  /// Cancelled.
   Result<Socket> Accept() const;
 
-  /// Closes the listening socket: concurrent and future `Accept` calls
-  /// fail. For a Unix listener, unlinks the socket path.
+  /// Stops accepting: wakes a concurrent blocking `Accept` and makes every
+  /// later one return Cancelled. Writes no member, so it may run while
+  /// another thread is inside `Accept`; the fd stays open until `Close`.
+  void Shutdown() const;
+
+  /// Shuts down and releases the listening socket; for a Unix listener,
+  /// unlinks the socket path. Must not run concurrently with `Accept`:
+  /// stop an accepting thread with `Shutdown`, join it, then `Close`.
   void Close();
 
  private:

@@ -16,12 +16,10 @@ namespace rewrite {
 /// Driver configuration. Level selects which registered rules run:
 ///
 ///   1 — structural rules only (`drop-trivial`, `minimize-rhs`,
-///       `absorb-subsumed`): a strict superset of the PR 5 inline
-///       canonicalization (drop + minimize + dedupe);
+///       `absorb-subsumed`);
 ///   2 — adds the rewriting rules (`narrow-members`, `merge-same-lhs`).
 ///
-/// "Level 0" is not a simplifier mode: `PrepareOptions::use_rewriter=false`
-/// keeps the old inline path as a differential reference instead.
+/// `PreparedPremises::Build` accepts exactly these two levels.
 struct SimplifyOptions {
   int level = 2;
   /// 0 derives the pass cap from the input cost (`SimplifyPassBound`); a

@@ -506,6 +506,28 @@ TEST(DiffcdServiceTest, ShutdownIsNotBlockedByAnIdleMetricsConnection) {
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
+TEST(DiffcdServiceTest, ShutdownWhileAcceptLoopsBlockRepeatedly) {
+  // Regression: Shutdown used to close a listener's fd while its accept
+  // thread could still be reading it. The fd is now released only after
+  // the thread is joined; under ThreadSanitizer any unsynchronized access
+  // to the listener from the two threads fails this test. Each round pings
+  // once, so the wire accept loop has served a connection and gone back
+  // to block in accept; the metrics accept loop blocks from the start.
+  ServerOptions options = LoopbackOptions();
+  options.metrics_address = "127.0.0.1:0";
+  options.engine.num_threads = 1;
+  for (int round = 0; round < 1000; ++round) {
+    DiffcdServer server(options);
+    ASSERT_TRUE(server.Start().ok()) << "round " << round;
+    {
+      Result<DiffcClient> client = DiffcClient::Connect(server.bound_address());
+      ASSERT_TRUE(client.ok()) << "round " << round;
+      ASSERT_TRUE(client->Ping(static_cast<std::uint64_t>(round)).ok()) << "round " << round;
+    }
+    ASSERT_TRUE(server.Shutdown().ok()) << "round " << round;
+  }
+}
+
 TEST(DiffcdServiceTest, MalformedFramesGetTypedErrorThenClose) {
   DiffcdServer server(LoopbackOptions());
   ASSERT_TRUE(server.Start().ok());

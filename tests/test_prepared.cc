@@ -1,8 +1,9 @@
 // PreparedPremises: the compiled premise artifact behind the engine's
 // prepare/plan/execute pipeline. Canonicalization invariants (trivial
-// premises dropped, right-hand families minimized, duplicates removed —
+// premises dropped, right-hand families minimized, duplicates absorbed —
 // all without changing L(C)), translation equivalence against the
-// per-query path, the FD closure index, build stats, and id uniqueness.
+// per-query path, the FD closure index, build stats read from the
+// per-rule breakdown, and id uniqueness.
 
 #include <gtest/gtest.h>
 
@@ -30,10 +31,10 @@ TEST(PreparedPremisesTest, CanonicalizationDropsTrivialAndDuplicates) {
   EXPECT_EQ(p.n(), n);
   ASSERT_EQ(p.constraints().size(), 1u);
   EXPECT_EQ(p.constraints()[0], real);
-  EXPECT_EQ(p.stats().input_constraints, 3u);
-  EXPECT_EQ(p.stats().canonical_constraints, 1u);
-  EXPECT_EQ(p.stats().dropped_trivial, 1u);
-  EXPECT_EQ(p.stats().dropped_duplicates, 1u);
+  EXPECT_EQ(p.stats().cost_constraints_before, 3u);
+  EXPECT_EQ(p.stats().cost_constraints_after, 1u);
+  EXPECT_EQ(p.stats().RuleEdits("drop-trivial"), 1u);
+  EXPECT_EQ(p.stats().RuleEdits("absorb-subsumed"), 1u);  // The duplicate.
 }
 
 TEST(PreparedPremisesTest, CanonicalizationMinimizesWitnessFamilies) {
@@ -48,7 +49,7 @@ TEST(PreparedPremisesTest, CanonicalizationMinimizesWitnessFamilies) {
   const PreparedPremises& p = **built;
   ASSERT_EQ(p.constraints().size(), 1u);
   EXPECT_EQ(p.constraints()[0].rhs(), SetFamily({ItemSet{1}}));
-  EXPECT_EQ(p.stats().minimized_members, 1u);
+  EXPECT_EQ(p.stats().RuleEdits("minimize-rhs"), 1u);
   // The canonical set excludes exactly the same lattice points.
   for (Mask m = 0; m < (Mask{1} << n); ++m) {
     EXPECT_EQ(InConstraintLattice(premises, ItemSet(m)),
@@ -141,9 +142,11 @@ TEST(PreparedPremisesTest, BuildStatsAreCoherent) {
       PreparedPremises::Build(n, premises);
   ASSERT_TRUE(built.ok());
   const PrepareStats& s = (*built)->stats();
-  EXPECT_EQ(s.input_constraints, premises.size());
-  EXPECT_EQ(s.canonical_constraints, s.input_constraints - s.dropped_trivial -
-                                         s.dropped_duplicates - s.merged_constraints);
+  EXPECT_EQ(s.cost_constraints_before, premises.size());
+  EXPECT_EQ(s.cost_constraints_after, (*built)->constraints().size());
+  EXPECT_EQ(s.cost_constraints_after,
+            s.cost_constraints_before - s.RuleEdits("drop-trivial") -
+                s.RuleEdits("absorb-subsumed") - s.RuleEdits("merge-same-lhs"));
   EXPECT_GE(s.translation_vars, n);
   EXPECT_GT(s.translation_clauses, 0u);
   EXPECT_GT(s.total_ns, 0u);

@@ -299,76 +299,93 @@ TEST(PrepareRewriteTest, RewriterPathPopulatesStats) {
   Result<std::shared_ptr<const PreparedPremises>> built =
       PreparedPremises::Build(n, premises);  // Default: rewriter at level 2.
   ASSERT_TRUE(built.ok());
+  EXPECT_EQ((*built)->options().simplify_level, 2);
   const PrepareStats& s = (*built)->stats();
-  EXPECT_TRUE(s.used_rewriter);
-  EXPECT_EQ(s.simplify_level, 2);
   EXPECT_GE(s.rewrite_passes, 1u);
   EXPECT_EQ(s.rewrite_rule_applied.size(), 5u);
   EXPECT_EQ(s.cost_constraints_before, premises.size());
   EXPECT_EQ(s.cost_constraints_after, (*built)->constraints().size());
   // Constraint bookkeeping: every removed constraint is attributed to
   // exactly one of the three constraint-dropping rules.
-  EXPECT_EQ(s.canonical_constraints,
-            s.input_constraints - s.dropped_trivial - s.dropped_duplicates -
-                s.merged_constraints);
+  EXPECT_EQ(s.cost_constraints_after,
+            s.cost_constraints_before - s.RuleEdits("drop-trivial") -
+                s.RuleEdits("absorb-subsumed") - s.RuleEdits("merge-same-lhs"));
+  EXPECT_EQ(s.RuleEdits("no-such-rule"), 0u);
   // The canonical set excludes exactly the same lattice points.
   Result<bool> same = LcEquivalent(n, premises, (*built)->constraints());
   ASSERT_TRUE(same.ok());
   EXPECT_TRUE(*same);
 }
 
-TEST(PrepareRewriteTest, LegacyInlinePathIsPreserved) {
+TEST(PrepareRewriteTest, OptionsOtherThanTheRewriterAtLevel1Or2AreRejected) {
   const int n = 8;
   Rng rng(5151);
   ConstraintSet premises = RedundantInstance(rng, n);
-  PrepareOptions legacy;
-  legacy.use_rewriter = false;
-  Result<std::shared_ptr<const PreparedPremises>> built =
-      PreparedPremises::Build(n, premises, legacy);
-  ASSERT_TRUE(built.ok());
-  const PrepareStats& s = (*built)->stats();
-  EXPECT_FALSE(s.used_rewriter);
-  EXPECT_EQ(s.simplify_level, 0);
-  EXPECT_EQ(s.rewrite_passes, 0u);
-  EXPECT_TRUE(s.rewrite_rule_applied.empty());
-  EXPECT_EQ(s.canonical_constraints,
-            s.input_constraints - s.dropped_trivial - s.dropped_duplicates);
-  // Both canonicalizers preserve L(C), so they agree with each other.
-  Result<std::shared_ptr<const PreparedPremises>> rewritten =
-      PreparedPremises::Build(n, premises);
-  ASSERT_TRUE(rewritten.ok());
-  Result<bool> same = LcEquivalent(n, (*built)->constraints(), (*rewritten)->constraints());
-  ASSERT_TRUE(same.ok());
-  EXPECT_TRUE(*same);
-  // The rewriter never produces a larger artifact than the inline path.
-  EXPECT_LE((*rewritten)->constraints().size(), (*built)->constraints().size());
+  PrepareOptions no_rewriter;
+  no_rewriter.use_rewriter = false;
+  PrepareOptions level0;
+  level0.simplify_level = 0;
+  PrepareOptions level3;
+  level3.simplify_level = 3;
+  for (const PrepareOptions& bad : {no_rewriter, level0, level3}) {
+    const std::string what = "use_rewriter=" + std::to_string(bad.use_rewriter) +
+                             " level=" + std::to_string(bad.simplify_level);
+    EXPECT_EQ(PreparedPremises::Build(n, premises, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    // The cache returns Build's error and inserts nothing.
+    const std::size_t cached = GlobalPreparedPremisesCache().size();
+    EXPECT_EQ(GlobalPreparedPremisesCache().Get(n, premises, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(GlobalPreparedPremisesCache().size(), cached) << what;
+  }
+
+  // An engine at simplify level 0 fails every entry point that prepares,
+  // with and without the prepared cache.
+  const DifferentialConstraint goal = testing::RandomConstraint(rng, n);
+  for (bool use_cache : {true, false}) {
+    EngineOptions opts;
+    opts.simplify_level = 0;
+    opts.use_prepared_cache = use_cache;
+    ImplicationEngine engine(opts);
+    const std::size_t cached = GlobalPreparedPremisesCache().size();
+    EXPECT_EQ(engine.Prepare(n, premises).status().code(), StatusCode::kInvalidArgument)
+        << "cache " << use_cache;
+    EXPECT_EQ(engine.CheckOne(n, premises, goal).status.code(), StatusCode::kInvalidArgument)
+        << "cache " << use_cache;
+    EXPECT_EQ(engine.CheckBatch(n, premises, {goal}).status().code(),
+              StatusCode::kInvalidArgument)
+        << "cache " << use_cache;
+    EXPECT_EQ(GlobalPreparedPremisesCache().size(), cached) << "cache " << use_cache;
+  }
 }
 
 TEST(PrepareRewriteTest, CacheKeysIncludeOptions) {
   const int n = 9;
   Rng rng(986);  // Unique premise set so other tests cannot pre-warm the key.
   ConstraintSet premises = RedundantInstance(rng, n);
-  PrepareOptions rewrite_opts;
-  PrepareOptions legacy;
-  legacy.use_rewriter = false;
+  PrepareOptions level2;
+  PrepareOptions level1;
+  level1.simplify_level = 1;
   bool hit = false;
   Result<std::shared_ptr<const PreparedPremises>> a =
-      GlobalPreparedPremisesCache().Get(n, premises, rewrite_opts, &hit);
+      GlobalPreparedPremisesCache().Get(n, premises, level2, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_FALSE(hit);
   // Same key: a hit returning the identical artifact.
   Result<std::shared_ptr<const PreparedPremises>> b =
-      GlobalPreparedPremisesCache().Get(n, premises, rewrite_opts, &hit);
+      GlobalPreparedPremisesCache().Get(n, premises, level2, &hit);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ((*a)->id(), (*b)->id());
   // Different options: a distinct artifact, never aliased.
   Result<std::shared_ptr<const PreparedPremises>> c =
-      GlobalPreparedPremisesCache().Get(n, premises, legacy, &hit);
+      GlobalPreparedPremisesCache().Get(n, premises, level1, &hit);
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(hit);
   EXPECT_NE((*a)->id(), (*c)->id());
-  EXPECT_FALSE((*c)->options().use_rewriter);
+  EXPECT_EQ((*c)->options().simplify_level, 1);
 }
 
 TEST(PrepareRewriteTest, EngineSimplifyLevelsAgreeOnVerdictsAtN64) {
@@ -381,7 +398,7 @@ TEST(PrepareRewriteTest, EngineSimplifyLevelsAgreeOnVerdictsAtN64) {
   };
   DifferentialConstraint goal(ItemSet::Singleton(0), SetFamily({ItemSet::Singleton(63)}));
   DifferentialConstraint bad_goal(ItemSet::Singleton(63), SetFamily({ItemSet::Singleton(0)}));
-  for (int level = 0; level <= 2; ++level) {
+  for (int level = 1; level <= 2; ++level) {
     EngineOptions opts;
     opts.simplify_level = level;
     opts.use_prepared_cache = false;

@@ -25,7 +25,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen=HOST:PORT|unix:/path] [--metrics=HOST:PORT]\n"
                "          [--threads=N] [--max-inflight=N] [--max-handles=N]\n"
-               "          [--drain-ms=N] [--simplify=N] [--trace]\n"
+               "          [--drain-ms=N] [--simplify=1|2] [--trace]\n"
                "          [--trace_sample_rate=P] [--slow_query_ms=N]\n"
                "          [--trace_store_capacity=N]\n",
                argv0);
@@ -73,14 +73,14 @@ int main(int argc, char** argv) {
       options.max_handles_per_session = static_cast<std::size_t>(value);
     } else if (ParseIntFlag(arg, "drain-ms", &value)) {
       options.drain_deadline = std::chrono::milliseconds(value);
-    } else if (ParseIntFlag(arg, "simplify", &value)) {
-      // Premise canonicalization level: 0 = legacy inline path,
-      // 1 = structural rewrite rules, 2 = full rule set.
-      if (value > 2) {
-        std::fprintf(stderr, "diffcd: --simplify must be 0, 1, or 2, got %ld\n", value);
+    } else if (ParseFlag(arg, "simplify", &text)) {
+      // Premise canonicalization level: 1 = structural rewrite rules,
+      // 2 = full rule set.
+      if (text != "1" && text != "2") {
+        std::fprintf(stderr, "diffcd: --simplify must be 1 or 2, got '%s'\n", text.c_str());
         return 2;
       }
-      options.engine.simplify_level = static_cast<int>(value);
+      options.engine.simplify_level = text == "1" ? 1 : 2;
     } else if (ParseFlag(arg, "trace_sample_rate", &text)) {
       char* end = nullptr;
       double rate = std::strtod(text.c_str(), &end);
